@@ -25,7 +25,7 @@ from .errors import (
     ValidationError,
     WindowTooSmallError,
 )
-from .model_spaces import comparison_triangle, triangle_point
+from .model_spaces import _SIDE_ENDPOINTS, comparison_triangle, triangle_point
 from .numerics import as_scalar_c2, fd_derivative
 from .warp_engine import WarpedSpace, WPoint, path_point_at_arclength, solve_geodesic
 
@@ -280,11 +280,6 @@ class ComparisonReport:
         return self.max_violation <= self.tolerance
 
 
-# side index -> (vertex pair, length slot) matching model_spaces conventions:
-# side 0 joins v1,v2 (length a), side 1 joins v0,v2 (b), side 2 joins v0,v1 (c)
-_SIDES = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
-
-
 def cat_test(
     space: WarpedSpace,
     vertices,
@@ -306,7 +301,8 @@ def cat_test(
         raise ValidationError("need exactly three vertices")
     rng = np.random.default_rng(seed)
     geos = {}
-    for s, (i, j) in _SIDES.items():
+    # side 0 joins v1,v2 (length a), side 1 joins v0,v2 (b), side 2 joins v0,v1 (c)
+    for s, (i, j) in _SIDE_ENDPOINTS.items():
         geos[s] = solve_geodesic(space, v[i], v[j], n_segments, seed, refine_tol=refine_tol)
         if geos[s].residual > 1e-6:
             raise SolverFailureError(f"side {s} geodesic did not converge")

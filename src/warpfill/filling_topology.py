@@ -77,13 +77,28 @@ def _add_ranks(a, b):
 # specs
 # ---------------------------------------------------------------------------
 
+def _integer_matrix(values) -> np.ndarray:
+    """``values`` as an int array; an entry that is not an integer raises
+    ``ValidationError`` instead of being truncated."""
+    try:
+        raw = np.asarray(values)
+    except ValueError as exc:
+        raise ValidationError(f"filling_coeffs is not a matrix: {exc}") from None
+    integral = raw.dtype.kind in "iu" or (
+        raw.dtype.kind == "f" and np.all(np.isfinite(raw)) and np.all(raw == np.round(raw))
+    )
+    if not integral:
+        raise ValidationError(f"filling_coeffs must be integers, got {raw.tolist()}")
+    return raw.astype(int)
+
+
 @dataclass(frozen=True)
 class CuspSpec:
     boundary_lattice: LatticeTorus
     filling_coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.filling_coeffs, dtype=int)
+        c = _integer_matrix(self.filling_coeffs)
         if c.ndim != 2:
             raise ValidationError("filling_coeffs must be a 2d integer matrix")
         d, n = c.shape
@@ -146,7 +161,7 @@ def filling_from_json_dict(doc: dict) -> FillingSpec:
     cusps = [
         CuspSpec(
             boundary_lattice=LatticeTorus(np.asarray(c["basis"], dtype=float)),
-            filling_coeffs=np.asarray(c["filling_coeffs"], dtype=int),
+            filling_coeffs=c["filling_coeffs"],
         )
         for c in doc["cusps"]
     ]
@@ -298,7 +313,12 @@ def group_cohomology(filling: FillingSpec) -> CohomologyProfile:
                 "the cohomology table assumes a 2pi-filling",
                 stacklevel=2,
             )
-    n, s = filling.n, filling.s
+    return _cohomology_table(filling.n, filling.s)
+
+
+def _cohomology_table(n: int, s: int) -> CohomologyProfile:
+    """``group_cohomology``'s table for cusp dimension n and s = max d_i,
+    without the 2pi check."""
     ranks = {n + 1: 1}
     for q in range(n - s + 2, n + 1):
         ranks[q] = INFINITE
@@ -380,14 +400,11 @@ def classify(filling: FillingSpec) -> InvariantReport:
         "systolic_excluded": sc_infinity,
         "two_pi_filling": all(ok for (_, ok, _, _) in per_cusp),
     }
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        gc = group_cohomology(filling)
     return InvariantReport(
         n=n,
         per_cusp=tuple(per_cusp),
         s=filling.s,
-        group_cohomology=gc,
+        group_cohomology=_cohomology_table(n, filling.s),
         boundary_cohomology=boundary_cohomology(filling),
         flags=flags,
     )

@@ -209,27 +209,53 @@ def gl_nodes(order):
 
 
 def adaptive_gauss(fn, a, b, rel_tol=1e-10, abs_floor=1e-14, order=10, max_depth=30):
-    """Adaptive Gauss-Legendre quadrature of a smooth scalar integrand.
+    """Adaptive Gauss-Legendre quadrature of a smooth integrand over panels
+    [a_i, b_i], batched: one integral per panel.
 
-    ``fn`` must be vectorized.  Error estimated by comparing one panel with
-    its bisection; panels recurse until the local estimate passes.
+    ``fn`` must be vectorized; it is called with one flat array of nodes per
+    round.  Each panel gets a scale from the 2*order-point rule over the
+    whole panel.  A panel's order-point estimate is compared with the sum
+    over its two halves; a panel passes when they agree to ``rel_tol``
+    relative to max(scale, |halves|), or at ``max_depth`` bisections, and
+    contributes the halves' sum.  Only the failing panels are bisected, all
+    of them together in the next round.  Scalar ``a`` and ``b`` give a
+    float, arrays an array of their broadcast shape.
     """
     x1, w1 = gl_nodes(order)
     x2, w2 = gl_nodes(2 * order)
+    a_arr, b_arr = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    shape = a_arr.shape
+    lo, hi = a_arr.ravel(), b_arr.ravel()
+    total = np.zeros(lo.size)
+    if lo.size == 0:
+        return total.reshape(shape)
 
-    def panel(lo, hi, nodes, weights):
+    def evaluate(lo, hi, nodes):
+        """fn at the nodes mapped into every panel, shape (panels, nodes),
+        and the panels' half-widths."""
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        return half * float(np.dot(weights, fn(mid + half * nodes)))
+        vals = fn((mid[:, None] + half[:, None] * nodes).ravel())
+        return np.reshape(vals, (lo.size, nodes.size)), half
 
-    total_scale = max(abs(panel(a, b, x2, w2)), abs_floor)
-
-    def recurse(lo, hi, coarse, depth):
-        fine = panel(lo, 0.5 * (lo + hi), x1, w1) + panel(0.5 * (lo + hi), hi, x1, w1)
-        if abs(fine - coarse) <= rel_tol * max(total_scale, abs(fine)) or depth >= max_depth:
-            return fine
+    vals, half = evaluate(lo, hi, np.concatenate((x2, x1)))
+    scale = np.maximum(np.abs(half * (vals[:, :x2.size] @ w2)), abs_floor)
+    coarse = half * (vals[:, x2.size:] @ w1)
+    owner = np.arange(lo.size)
+    depth = 0
+    while owner.size:
         mid = 0.5 * (lo + hi)
-        return recurse(lo, mid, panel(lo, mid, x1, w1), depth + 1) + recurse(
-            mid, hi, panel(mid, hi, x1, w1), depth + 1
-        )
-
-    return recurse(a, b, panel(a, b, x1, w1), 0)
+        vals, half = evaluate(np.concatenate((lo, mid)), np.concatenate((mid, hi)), x1)
+        halves = half * (vals @ w1)
+        left, right = halves[:owner.size], halves[owner.size:]
+        fine = left + right
+        done = np.abs(fine - coarse) <= rel_tol * np.maximum(scale[owner], np.abs(fine))
+        if depth >= max_depth:
+            done[:] = True
+        np.add.at(total, owner[done], fine[done])
+        split = ~done
+        lo = np.concatenate((lo[split], mid[split]))
+        hi = np.concatenate((mid[split], hi[split]))
+        coarse = np.concatenate((left[split], right[split]))
+        owner = np.concatenate((owner[split], owner[split]))
+        depth += 1
+    return float(total[0]) if shape == () else total.reshape(shape)

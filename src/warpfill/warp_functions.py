@@ -450,12 +450,6 @@ class SmoothWarpFunction:
             return cls.from_json_dict(json.load(fh))
 
 
-def eval_warp(fn: SmoothWarpFunction, r, order=0, side="right"):
-    """Module-level evaluation entry point (analytic on analytic pieces,
-    finite differences on splices)."""
-    return fn.eval(r, order, side)
-
-
 def build_fg(lambda_: float, delta0_hint: float | None = None):
     """Build the warp pair (f, g) on [0, 1 + lambda].
 

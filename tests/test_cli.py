@@ -131,6 +131,13 @@ class TestCatTest:
         ])
         assert rc == 1
 
+    def test_box_without_room_is_input_error(self, h2_file, capsys):
+        rc = main(["cat-test", "--space", h2_file, "--kappa", "-1",
+                   "--samples", "1", "--box", "[[1, 1], [0, 0]]"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
     def test_deterministic_per_seed(self, h2_file, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         argv = [
@@ -213,6 +220,16 @@ class TestFillingAnalyze:
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["results"]["shells"]) == 2
         assert doc["results"]["shell_colimit"]["2"] == "INFINITE"
+
+    def test_fractional_coefficients_are_input_error(self, tmp_path, capsys):
+        spec = tmp_path / "frac.json"
+        doc = filling_to_json_dict(make_filling(2, [1]))
+        doc["cusps"][0]["filling_coeffs"] = [[1.5, 0]]
+        spec.write_text(json.dumps(doc))
+        assert main(["filling-analyze", "--spec", str(spec)]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_malformed_spec(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

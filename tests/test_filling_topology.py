@@ -194,6 +194,18 @@ class TestTwoPiCheck:
         with pytest.raises(RankDeficientError):
             CuspSpec(lat, np.array([[1, 0, 0], [2, 0, 0]]))
 
+    @pytest.mark.parametrize("coeffs", [[[1.5, 0.0]], [[1, 0.5]], [[np.nan, 0]], [["1", "0"]],
+                                        [[True, False]]])
+    def test_non_integer_coefficients_rejected(self, coeffs):
+        lat = LatticeTorus(np.eye(2) * 7.0)
+        with pytest.raises(ValidationError):
+            CuspSpec(lat, coeffs)
+
+    def test_integral_floats_accepted(self):
+        cusp = CuspSpec(LatticeTorus(np.eye(2) * 7.0), [[1.0, 0.0]])
+        assert cusp.filling_coeffs.dtype.kind == "i"
+        assert cusp.filling_coeffs.tolist() == [[1, 0]]
+
     def test_unimodular_change_of_rows_allowed(self):
         lat = LatticeTorus(np.eye(3) * 7.0)
         cusp = CuspSpec(lat, np.array([[1, 2, 0], [0, 1, 1]]))
@@ -345,6 +357,21 @@ class TestClassify:
         assert "n = 3" in text and "s = 2" in text
         assert "H^q(G;ZG)" in text
 
+    def test_one_systole_per_cusp(self, monkeypatch):
+        import warpfill.filling_topology as ft
+
+        calls = []
+        real = ft.torus_systole
+
+        def counted(torus):
+            calls.append(torus.dim)
+            return real(torus)
+
+        monkeypatch.setattr(ft, "torus_systole", counted)
+        rep = classify(make_filling(4, [1, 2, 3]))
+        assert calls == [1, 2, 3]
+        assert rep.group_cohomology == group_cohomology(make_filling(4, [1, 2, 3]))
+
     def test_report_json_is_serializable(self):
         doc = classify(make_filling(4, [2, 4])).to_json_dict()
         json.dumps(doc)
@@ -366,6 +393,12 @@ class TestSerialization:
         for c1, c2 in zip(filling.cusps, back.cusps):
             assert np.array_equal(c1.filling_coeffs, c2.filling_coeffs)
             assert np.array_equal(c1.boundary_lattice.basis, c2.boundary_lattice.basis)
+
+    def test_fractional_coefficients_rejected(self):
+        doc = filling_to_json_dict(make_filling(2, [1]))
+        doc["cusps"][0]["filling_coeffs"] = [[1.5, 0]]
+        with pytest.raises(ValidationError):
+            filling_from_json_dict(doc)
 
     def test_profile_roundtrip_keeps_infinite(self):
         p = CohomologyProfile({2: INFINITE, 3: 1})

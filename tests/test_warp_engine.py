@@ -2,10 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from warpfill.errors import OutOfDomainError, ValidationError
 from warpfill.model_spaces import LatticeTorus, halfplane_distance, strip_to_halfplane
-from warpfill.numerics import Const, Cosh, ExpShift, LinearR, Sinh
+from warpfill.numerics import Const, Cosh, ExpShift, LinearR, Sinh, adaptive_gauss
 from warpfill.warp_engine import (
     GRAD_TOL,
     PolylinePath,
@@ -340,3 +343,129 @@ class TestArclengthAndSerialization:
         doc = json.loads(res.dumps())
         assert doc["distance"] == res.distance
         assert len(doc["path"]["vertices"]) == len(res.path.vertices)
+
+
+def reference_length(space, path):
+    """Per-segment length by scipy's adaptive QUADPACK, independent of
+    ``adaptive_gauss``; the warp pieces' knots are passed as break points."""
+    knots = {p.lo for w in (space.warp_g, space.warp_f) for p in getattr(w, "pieces", ())[1:]}
+    total = 0.0
+    for a, b, sh in zip(path.vertices, path.vertices[1:], path.deck_shifts):
+        dr = b.r - a.r
+        de2 = float(np.sum((b.e - a.e) ** 2))
+        dth2 = 0.0
+        if space.torus is not None:
+            dth2 = float(np.sum((b.theta + sh @ space.torus.basis - a.theta) ** 2))
+
+        def speed(t):
+            r = a.r + t * dr
+            val = dr * dr + de2 * float(space.g(r)) ** 2
+            if space.torus is not None:
+                val += dth2 * float(space.f(r)) ** 2
+            return np.sqrt(val)
+
+        if dr == 0.0:
+            total += speed(0.0)
+            continue
+        inside = [t for t in ((kn - a.r) / dr for kn in knots) if 0.0 < t < 1.0]
+        breaks = sorted(inside) or None
+        val, _ = quad(speed, 0.0, 1.0, points=breaks, epsabs=0.0, epsrel=1e-13, limit=400)
+        total += val
+    return total
+
+
+def polyline(data, space, n_max=6):
+    """A random polyline in ``space`` that repeats vertices (zero-length
+    segments) and keeps r fixed (constant-r segments) now and then."""
+    lo, hi = space.interval
+    k, tdim = space.euclid_dim, space.torus_dim
+    n = data.draw(st.integers(1, n_max), label="segments")
+    coord = st.floats(-1.5, 1.5, allow_nan=False)
+    verts = [WPoint(data.draw(st.floats(lo, hi)), [data.draw(coord) for _ in range(k)],
+                    [data.draw(st.floats(0.0, 7.0)) for _ in range(tdim)])]
+    shifts = []
+    for _ in range(n):
+        kind = data.draw(st.sampled_from(["free", "free", "repeat", "same_r"]))
+        prev = verts[-1]
+        if kind == "repeat":
+            verts.append(prev)
+            shifts.append(np.zeros(tdim, dtype=int))
+            continue
+        r = prev.r if kind == "same_r" else data.draw(st.floats(lo, hi))
+        verts.append(WPoint(r, [data.draw(coord) for _ in range(k)],
+                            [data.draw(st.floats(0.0, 7.0)) for _ in range(tdim)]))
+        shifts.append(np.array([data.draw(st.integers(-1, 1)) for _ in range(tdim)], dtype=int))
+    return PolylinePath(tuple(verts), tuple(shifts))
+
+
+class TestBatchedQuadrature:
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_h2_matches_reference(self, h2_space, data):
+        path = polyline(data, h2_space)
+        assert path_length(h2_space, path) == pytest.approx(reference_length(h2_space, path), rel=1e-12)
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_singular_model_with_deck_shifts(self, singular_model, data):
+        path = polyline(data, singular_model)
+        assert path_length(singular_model, path) == pytest.approx(
+            reference_length(singular_model, path), rel=1e-12)
+
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_built_pair_across_splice_windows(self, fg_space, data):
+        path = polyline(data, fg_space, n_max=4)
+        # one segment through each splice window, (0.19, 0.2) and (1.79, 1.8)
+        through = (WPoint(0.1, [0.3], [1.0]), WPoint(0.3, [-0.2], [6.0]),
+                   WPoint(1.7, [0.4], [2.0]), WPoint(1.9, [0.1], [5.5]))
+        path = PolylinePath(
+            path.vertices + through,
+            path.deck_shifts + tuple(np.array([s]) for s in (0, 1, -1, 0)),
+        )
+        assert path_length(fg_space, path) == pytest.approx(reference_length(fg_space, path), rel=1e-12)
+
+    def test_zero_and_constant_r_segments(self, singular_model):
+        a = WPoint(1.2, [0.3], [2.0])
+        b = WPoint(1.2, [-0.4], [5.0])
+        path = PolylinePath((a, a, b), (np.array([0]), np.array([1])))
+        exact = np.sqrt(np.cosh(1.2) ** 2 * 0.49 + np.sinh(1.2) ** 2 * 100.0)
+        assert path_length(singular_model, path) == pytest.approx(exact, rel=1e-14)
+
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    @example(data=None)
+    def test_arclength_endpoints(self, singular_model, data):
+        if data is None:
+            # trailing zero-length segment
+            a, b = WPoint(0.5, [0.0], [1.0]), WPoint(2.0, [1.0], [3.0])
+            path = PolylinePath((a, b, b), (np.array([1]), np.array([0])))
+        else:
+            path = polyline(data, singular_model)
+        total = path_length(singular_model, path)
+        start = path_point_at_arclength(singular_model, path, 0.0)
+        end = path_point_at_arclength(singular_model, path, total)
+        assert singular_model.points_equal(start, path.vertices[0], tol=1e-12)
+        assert singular_model.points_equal(end, path.vertices[-1], tol=1e-9)
+
+    def test_batched_panels_bisect_a_narrow_peak(self):
+        calls = []
+
+        def peak(x):
+            calls.append(x.size)
+            return 1.0 / (1.0 + ((x - 0.3) / 1e-3) ** 2)
+
+        a = np.array([0.0, 0.25, 0.5, 0.0])
+        b = np.array([1.0, 0.35, 1.0, 0.3])
+        got = adaptive_gauss(peak, a, b)
+        exact = 1e-3 * (np.arctan((b - 0.3) / 1e-3) - np.arctan((a - 0.3) / 1e-3))
+        assert got.shape == (4,)
+        assert np.allclose(got, exact, rtol=1e-10, atol=0.0)
+        # the peak forced bisection rounds beyond the first, on fewer panels
+        assert len(calls) > 2 and calls[-1] < calls[1]
+        scalar = adaptive_gauss(peak, 0.25, 0.35)
+        assert isinstance(scalar, float) and scalar == pytest.approx(exact[1], rel=1e-10)
+
+    def test_empty_batch_calls_nothing(self):
+        out = adaptive_gauss(lambda x: pytest.fail("integrand called"), np.zeros(0), np.zeros(0))
+        assert out.shape == (0,)
