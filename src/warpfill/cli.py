@@ -30,6 +30,7 @@ from .warp_engine import (
 from .warp_functions import build_fg, export_table
 
 DEFAULT_SEED = 42
+_TRIANGLE_DRAWS = 1000  # cat-test triangle draws before the --box is rejected
 
 
 def _atomic_write(path: str, text: str):
@@ -114,8 +115,8 @@ def _cmd_geodesic(args) -> int:
     return _emit(args, doc, res.converged)
 
 
-def _sample_triangle(space, rng, box, max_attempts=1000):
-    for _ in range(max_attempts):
+def _sample_triangle(space, rng, box):
+    for _ in range(_TRIANGLE_DRAWS):
         pts = []
         for _ in range(3):
             coords = [rng.uniform(lo, hi) for lo, hi in box]
@@ -131,7 +132,7 @@ def _sample_triangle(space, rng, box, max_attempts=1000):
         if min(sides) > 0.1:
             return pts
     raise ValidationError(
-        f"box {box} gave no three points 0.1 apart in {max_attempts} attempts"
+        f"box {box} gave no three points 0.1 apart in {_TRIANGLE_DRAWS} attempts"
     )
 
 

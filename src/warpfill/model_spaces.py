@@ -42,14 +42,14 @@ __all__ = [
 def halfplane_distance(z: complex, w: complex) -> float:
     """Distance in the upper half-plane model of H^2.
 
-    d(z,w) = arccosh(1 + |z-w|^2 / (2 Im z Im w)).
+    d(z,w) = arccosh(1 + |z-w|^2 / (2 Im z Im w)) = 2 arcsinh(|z-w| / (2 sqrt(Im z Im w))),
+    evaluated in the arcsinh form, which keeps its relative accuracy for
+    nearby points (the arccosh argument rounds to 1 once |z-w| ~ 1e-8).
     """
     z, w = complex(z), complex(w)
     if z.imag <= 0.0 or w.imag <= 0.0:
         raise DomainError(f"points must have positive imaginary part: {z}, {w}")
-    arg = 1.0 + abs(z - w) ** 2 / (2.0 * z.imag * w.imag)
-    # arg >= 1 analytically; rounding can push it a hair below
-    return float(np.arccosh(max(arg, 1.0)))
+    return float(2.0 * np.arcsinh(abs(z - w) / (2.0 * np.sqrt(z.imag * w.imag))))
 
 
 def halfplane_geodesic_point(z: complex, w: complex, s: float) -> complex:

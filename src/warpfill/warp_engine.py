@@ -114,12 +114,25 @@ class WarpedSpace:
         return self.warp_g.d(r, order)
 
     def check_point(self, p: "WPoint"):
-        if not (self.r_min - 1e-12 <= p.r <= self.r_max + 1e-12):
-            raise OutOfDomainError(f"r={p.r} outside {self.interval}")
-        if len(p.e) != self.euclid_dim:
-            raise OutOfDomainError(f"e has length {len(p.e)}, expected {self.euclid_dim}")
-        if len(p.theta) != self.torus_dim:
-            raise OutOfDomainError(f"theta has length {len(p.theta)}, expected {self.torus_dim}")
+        self.check_points((p,))
+
+    def check_points(self, points):
+        """Raise OutOfDomainError for the first point with r outside the
+        interval (1e-12 slack) or e, theta of the wrong length; one array
+        pass over all points."""
+        r = np.fromiter((p.r for p in points), dtype=float, count=len(points))
+        e_len = np.fromiter((len(p.e) for p in points), dtype=int, count=len(points))
+        t_len = np.fromiter((len(p.theta) for p in points), dtype=int, count=len(points))
+        bad_r = ~((r >= self.r_min - 1e-12) & (r <= self.r_max + 1e-12))
+        bad = bad_r | (e_len != self.euclid_dim) | (t_len != self.torus_dim)
+        if not bad.any():
+            return
+        i = int(np.argmax(bad))
+        if bad_r[i]:
+            raise OutOfDomainError(f"r={r[i]} outside {self.interval}")
+        if e_len[i] != self.euclid_dim:
+            raise OutOfDomainError(f"e has length {e_len[i]}, expected {self.euclid_dim}")
+        raise OutOfDomainError(f"theta has length {t_len[i]}, expected {self.torus_dim}")
 
     def points_equal(self, p: "WPoint", q: "WPoint", tol=1e-12) -> bool:
         if abs(p.r - q.r) > tol or np.max(np.abs(p.e - q.e), initial=0.0) > tol:
@@ -273,13 +286,7 @@ def _warp_knots(space: WarpedSpace) -> np.ndarray:
 
 
 def path_length(space: WarpedSpace, path: PolylinePath) -> float:
-    verts = path.vertices
-    r = np.fromiter((v.r for v in verts), dtype=float, count=len(verts))
-    in_range = np.all((r >= space.r_min - 1e-12) & (r <= space.r_max + 1e-12))
-    k, tdim = space.euclid_dim, space.torus_dim
-    if not in_range or any(v.e.size != k or v.theta.size != tdim for v in verts):
-        for v in verts:  # the first offending vertex raises its own error
-            space.check_point(v)
+    space.check_points(path.vertices)
     return float(_segment_lengths(space, path).sum())
 
 

@@ -37,6 +37,10 @@ class TestHalfplane:
     def test_unit_horizontal(self):
         assert halfplane_distance(1j, 1 + 1j) == pytest.approx(np.arccosh(1.5), abs=1e-14)
 
+    def test_nearby_points(self):
+        # the arccosh argument rounds to 1 here; the distance must not
+        assert halfplane_distance(0.5j, -1e-12 + 0.5j) == pytest.approx(2e-12, rel=1e-12)
+
     def test_rejects_lower_half(self):
         with pytest.raises(DomainError):
             halfplane_distance(1j, 1 - 1j)

@@ -101,6 +101,14 @@ class TestPathLength:
         with pytest.raises(OutOfDomainError):
             path_length(h2_space, straight(WPoint(-7.0, [0.0]), WPoint(0.0, [0.0])))
 
+    def test_first_bad_vertex_raises(self, h2_space):
+        none = np.zeros(0, int)
+        good, far, wide = WPoint(0.0, [0.0]), WPoint(6.5, [0.0]), WPoint(0.0, [0.0, 1.0])
+        with pytest.raises(OutOfDomainError, match="e has length 2"):
+            path_length(h2_space, PolylinePath((good, wide, far), (none, none)))
+        with pytest.raises(OutOfDomainError, match="r=6.5 outside"):
+            path_length(h2_space, PolylinePath((good, far, wide), (none, none)))
+
 
 class TestSolver:
     def test_identical_points(self, h2_space):
