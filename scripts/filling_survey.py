@@ -7,10 +7,7 @@ classification flags.
 
 import argparse
 
-import numpy as np
-
-from warpfill.filling_topology import CuspSpec, FillingSpec, classify
-from warpfill.model_spaces import LatticeTorus
+from warpfill.filling_topology import axis_filling, classify
 
 
 def main():
@@ -21,12 +18,7 @@ def main():
 
     for n in range(2, args.n_max + 1):
         for s in range(1, n + 1):
-            lat = LatticeTorus(np.eye(n) * args.side)
-            coeffs = np.zeros((s, n), dtype=int)
-            for i in range(s):
-                coeffs[i, i] = 1
-            spec = FillingSpec(n, (CuspSpec(lat, coeffs),))
-            print(classify(spec).render())
+            print(classify(axis_filling(n, [s], args.side)).render())
             print()
 
 

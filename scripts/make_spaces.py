@@ -16,22 +16,11 @@ import os
 
 import numpy as np
 
-from warpfill.filling_topology import CuspSpec, FillingSpec, filling_to_json_dict
+from warpfill.filling_topology import axis_filling, filling_to_json_dict
 from warpfill.model_spaces import LatticeTorus
 from warpfill.numerics import Const, ExpShift
 from warpfill.warp_engine import WarpedSpace, space_to_json_dict
 from warpfill.warp_functions import build_fg
-
-
-def axis_filling(n, dims, side):
-    lat = LatticeTorus(np.eye(n) * side)
-    cusps = []
-    for d in dims:
-        coeffs = np.zeros((d, n), dtype=int)
-        for i in range(d):
-            coeffs[i, i] = 1
-        cusps.append(CuspSpec(lat, coeffs))
-    return FillingSpec(n, tuple(cusps))
 
 
 def main():

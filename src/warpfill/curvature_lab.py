@@ -26,7 +26,7 @@ from .errors import (
     WindowTooSmallError,
 )
 from .model_spaces import _SIDE_ENDPOINTS, comparison_triangle, triangle_point
-from .numerics import as_scalar_c2, fd_derivative
+from .numerics import as_scalar_c2
 from .warp_engine import WarpedSpace, WPoint, path_point_at_arclength, solve_geodesic
 
 __all__ = [

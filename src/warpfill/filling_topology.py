@@ -32,6 +32,7 @@ __all__ = [
     "CuspSpec",
     "FillingSpec",
     "CohomologyProfile",
+    "axis_filling",
     "InvariantReport",
     "two_pi_check",
     "join_cohomology",
@@ -151,6 +152,13 @@ class FillingSpec:
     @property
     def s(self):
         return max(c.d for c in self.cusps)
+
+
+def axis_filling(n: int, dims, side: float = 7.0) -> FillingSpec:
+    """FillingSpec with one cusp per entry of ``dims``, each on the square
+    lattice of the given side, filled along the first d coordinate axes."""
+    lat = LatticeTorus(np.eye(n) * side)
+    return FillingSpec(n, tuple(CuspSpec(lat, np.eye(d, n, dtype=int)) for d in dims))
 
 
 def filling_to_json_dict(filling: FillingSpec) -> dict:

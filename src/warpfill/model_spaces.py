@@ -55,9 +55,12 @@ def halfplane_distance(z: complex, w: complex) -> float:
 def halfplane_geodesic_point(z: complex, w: complex, s: float) -> complex:
     """Point at arclength s along the geodesic from z to w in H^2.
 
-    Conjugates by an isometry sending z to i and w onto the imaginary axis,
-    walks the axis, and maps back.  Used as an independent check on the
-    discrete solver paths; not needed for distances.
+    The map zz -> (zz - Re z) / Im z sends z to i, and the Cayley map
+    zz -> (zz - i) / (zz + i) sends i to the centre of the Poincare disk,
+    where the geodesic toward w is the radius through the image c of w.
+    The point at arclength s is u = tanh(s/2) c/|c| there, mapped back by
+    i (1 + u) / (1 - u) and then zz * Im z + Re z.  Used as an independent
+    check on the discrete solver paths; not needed for distances.
     """
     z, w = complex(z), complex(w)
     total = halfplane_distance(z, w)
@@ -65,40 +68,11 @@ def halfplane_geodesic_point(z: complex, w: complex, s: float) -> complex:
         raise OutOfRangeError(f"arclength {s} outside [0, {total}]")
     if total < 1e-15:
         return z
-    # Mobius a(zz) = (zz - x0)/y0 sends z to i (x0 = Re z, y0 = Im z).
     x0, y0 = z.real, z.imag
     w1 = (w - x0) / y0
-    # rotate about i so that w1 lands on the positive imaginary axis:
-    # the isometries fixing i are (cos t * zz + sin t)/(-sin t * zz + cos t).
-    # Solve for t with w1 = r e^{i psi} target purely imaginary.  Easier:
-    # use the explicit unit-speed geodesic through i with initial direction.
-    v = _halfplane_initial_direction(1j, w1)
-    p = _halfplane_exp(v, s)
-    return p * y0 + x0
-
-
-def _halfplane_initial_direction(z: complex, w: complex) -> complex:
-    """Unit tangent at z of the geodesic toward w (half-plane chart)."""
-    eps = 1e-7
-    gx = (halfplane_distance(z + eps, w) - halfplane_distance(z - eps, w)) / (2 * eps)
-    gy = (halfplane_distance(z + 1j * eps, w) - halfplane_distance(z - 1j * eps, w)) / (2 * eps)
-    # the geodesic to w shrinks d fastest: direction is minus the gradient
-    v = -complex(gx, gy)
-    return v / abs(v)
-
-
-def _halfplane_exp(v: complex, s: float) -> complex:
-    """exp_i(s v) for a unit (hyperbolic) tangent vector v at i."""
-    # Geodesics through i: gamma(s) with gamma(0)=i covered by
-    # gamma(s) = (cosh(s/2)*i + sinh(s/2)*e^{i a}) / (sinh(s/2)*e^{-i a}*(-i)... )
-    # Simplest: conjugate the vertical geodesic i e^s by the rotation about i
-    # through angle t, which is the Mobius map R_t = [cos(t/2), sin(t/2);
-    # -sin(t/2), cos(t/2)].  R_t moves the upward direction at i to angle
-    # pi/2 + t (euclidean), so choose t from v.
-    t = float(np.angle(v / 1j))  # angle of v relative to "up"
-    c, d = np.cos(t / 2.0), np.sin(t / 2.0)
-    g = 1j * np.exp(s)
-    return (c * g + d) / (-d * g + c)
+    c = (w1 - 1j) / (w1 + 1j)
+    u = np.tanh(s / 2.0) * c / abs(c)
+    return complex(1j * (1.0 + u) / (1.0 - u)) * y0 + x0
 
 
 def strip_to_halfplane(t: float, a: float, u: float = 1.0) -> complex:

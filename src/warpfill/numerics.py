@@ -1,12 +1,9 @@
-"""Shared numerical utilities: scalar C2 function handles, finite differences
-with one Richardson level, smooth cutoff functions, and adaptive
-Gauss-Legendre quadrature."""
+"""Shared numerical utilities: scalar C2 function handles, smooth cutoff
+functions, and adaptive Gauss-Legendre quadrature."""
 
 from __future__ import annotations
 
 import numpy as np
-
-FD_STEP = 1e-6
 
 
 class ScalarC2:
@@ -87,20 +84,6 @@ class ScaledExp(ScalarC2):
         return np.exp(np.asarray(r, dtype=float) / self.c) / self.c**order
 
 
-class CallableC2(ScalarC2):
-    """Wrap a plain callable; derivatives by central differences."""
-
-    name = "callable"
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def d(self, r, order=0):
-        if order == 0:
-            return self.fn(np.asarray(r, dtype=float))
-        return fd_derivative(self.fn, r, order)
-
-
 ANALYTIC_REGISTRY = {
     "sinh": Sinh,
     "cosh": Cosh,
@@ -116,60 +99,7 @@ def as_scalar_c2(obj) -> ScalarC2:
         return obj
     if hasattr(obj, "d"):
         return obj
-    if callable(obj):
-        return CallableC2(obj)
     raise TypeError(f"cannot interpret {obj!r} as a scalar C2 function")
-
-
-def fd_derivative(fn, r, order, h=FD_STEP, lo=None, hi=None):
-    """Central finite difference with one Richardson extrapolation level.
-
-    ``lo``/``hi`` clip the stencil to a validity interval; within 2h of a
-    boundary a one-sided stencil of matching order is used instead.
-    """
-    r = np.asarray(r, dtype=float)
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
-
-    if order not in (1, 2):
-        raise ValueError(f"order {order} not supported")
-
-    def central(rr, h_):
-        if order == 1:
-            return (fn(rr + h_) - fn(rr - h_)) / (2.0 * h_)
-        return (fn(rr + h_) - 2.0 * fn(rr) + fn(rr - h_)) / h_**2
-
-    def one_sided(rr, h_, sign):
-        s = sign * h_
-        if order == 1:
-            return (-3.0 * fn(rr) + 4.0 * fn(rr + s) - fn(rr + 2 * s)) / (2.0 * s)
-        return (2.0 * fn(rr) - 5.0 * fn(rr + s) + 4.0 * fn(rr + 2 * s) - fn(rr + 3 * s)) / h_**2
-
-    def richardson(rule, rr, sign=1.0):
-        if rule is central:
-            d1, d2 = central(rr, h), central(rr, h / 2)
-        else:
-            d1, d2 = one_sided(rr, h, sign), one_sided(rr, h / 2, sign)
-        return (4.0 * d2 - d1) / 3.0
-
-    if lo is None and hi is None:
-        out = richardson(central, r)
-        return out[0] if scalar else out
-
-    need = 3.2 * h
-    out = np.empty_like(r)
-    room_left = np.ones_like(r, dtype=bool) if lo is None else (r - lo) >= need
-    room_right = np.ones_like(r, dtype=bool) if hi is None else (hi - r) >= need
-    both = room_left & room_right
-    if both.any():
-        out[both] = np.atleast_1d(richardson(central, r[both]))
-    from_right = (~both) & room_right
-    if from_right.any():
-        out[from_right] = np.atleast_1d(richardson(one_sided, r[from_right], 1.0))
-    from_left = (~both) & ~room_right
-    if from_left.any():
-        out[from_left] = np.atleast_1d(richardson(one_sided, r[from_left], -1.0))
-    return out[0] if scalar else out
 
 
 def smoothstep(x):

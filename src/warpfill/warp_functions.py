@@ -30,7 +30,6 @@ from .numerics import (
     ScalarC2,
     Sinh,
     as_scalar_c2,
-    fd_derivative,
     smooth_bump,
     smoothstep,
 )
@@ -164,13 +163,10 @@ def interpolate_tangent(l1: Line, l2: Line, A: float, B: float) -> EllipseArc:
         if abs(float(arc.d(x0, 1)) - line.slope) > CONSTRUCTION_TOL:
             raise ValidationError("ellipse arc endpoint slope mismatch")
 
-    # convexity floor from sampled second differences on a 1e-3 grid
+    # convexity floor from the exact second derivative sampled on a 1e-3 grid
     n = max(int(round((B - A) / 1e-3)), 1000)
     xs = np.linspace(A, B, n + 1)
-    ys = arc.d(xs, 0)
-    h = xs[1] - xs[0]
-    second = (ys[2:] - 2.0 * ys[1:-1] + ys[:-2]) / h**2
-    floor = 0.9 * float(second.min())
+    floor = 0.9 * float(arc.d(xs, 2).min())
     if floor <= 0:
         raise ValidationError("interpolant not strictly convex")
     # monotone single-valued graph over the domain
@@ -262,29 +258,29 @@ class SplicePiece(ScalarC2):
         self._s2 = self._spline_a2.antiderivative(2)
         self._bl0, self._bl1 = bl0, bl1
 
-    def value(self, r):
+    def d(self, r, order=0):
+        if order not in (0, 1, 2):
+            raise ValidationError(f"order {order} not supported")
         r = np.asarray(r, dtype=float)
         if self.trivial:
-            return self.b.d(r, 0)
+            return self.b.d(r, order)
         out = np.empty_like(r)
         left = r < self.lo
         right = r > self.R
         mid = ~(left | right)
         if left.any():
-            out[left] = self.b.d(r[left], 0)
+            out[left] = self.b.d(r[left], order)
         if right.any():
-            out[right] = self.c.d(r[right], 0)
+            out[right] = self.c.d(r[right], order)
         if mid.any():
             rm = r[mid]
-            out[mid] = self._bl0 + self._bl1 * (rm - self.lo) + self._s2(rm)
+            if order == 0:
+                out[mid] = self._bl0 + self._bl1 * (rm - self.lo) + self._s2(rm)
+            elif order == 1:
+                out[mid] = self._bl1 + self._s1(rm)
+            else:
+                out[mid] = self._spline_a2(rm)
         return out
-
-    def d(self, r, order=0):
-        if order == 0:
-            return self.value(r)
-        # spec contract: derivative evaluation on splices is by Richardson-
-        # extrapolated finite differences of the value
-        return fd_derivative(self.value, r, order)
 
 
 def agol_smooth(b_piece, c_piece, R: float, eps: float) -> SplicePiece:
@@ -517,8 +513,8 @@ def build_fg(lambda_: float, delta0_hint: float | None = None):
     f = assemble(sinh, "sinh")
     g = assemble(cosh, "cosh")
 
-    # empirical convexity floor of g'' from one-sided second differences on a
-    # 1e-4 grid; f gets the analogous floor over (0, 1+lambda]
+    # convexity floor of g'' sampled on a 1e-4 grid, taking the smaller
+    # one-sided value at knots; f gets the analogous floor over (0, 1+lambda]
     g_floor = _grid_second_derivative_min(g, include_zero=True)
     f_floor = _grid_second_derivative_min(f, include_zero=False)
     if g_floor <= 0 or f_floor <= 0:

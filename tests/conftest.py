@@ -42,18 +42,3 @@ def fg_space(fg_pair):
         torus=LatticeTorus(np.eye(1) * 7.0),
         warp_f=fg_pair["f"],
     )
-
-
-def make_filling(n, dims, side=7.0):
-    """FillingSpec on the side-`side` square lattice with axis-aligned
-    filling sublattices of the given dimensions."""
-    from warpfill.filling_topology import CuspSpec, FillingSpec
-
-    lat = LatticeTorus(np.eye(n) * side)
-    cusps = []
-    for d in dims:
-        coeffs = np.zeros((d, n), dtype=int)
-        for i in range(d):
-            coeffs[i, i] = 1
-        cusps.append(CuspSpec(lat, coeffs))
-    return FillingSpec(n, tuple(cusps))

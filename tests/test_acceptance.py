@@ -10,10 +10,10 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_filling
 from warpfill.curvature_lab import cat_test, fd_sectional, fk_convexity, sectional_terms
 from warpfill.filling_topology import (
     INFINITE,
+    axis_filling,
     boundary_cohomology,
     classify,
     group_cohomology,
@@ -213,27 +213,27 @@ def test_criterion_7_cohomology_table():
     ok = True
     for n in range(2, 6):
         for s in range(1, n + 1):
-            prof = group_cohomology(make_filling(n, [s]))
+            prof = group_cohomology(axis_filling(n, [s]))
             expected = {n + 1: 1}
             expected.update({q: INFINITE for q in range(n - s + 2, n + 1)})
             ok &= prof.ranks == expected
             # round-robin schedule over one cusp of each dimension 1..s
-            filling = make_filling(n, list(range(1, s + 1)))
+            filling = axis_filling(n, list(range(1, s + 1)))
             _, colimit = shell_sequence(filling, [[i] for i in range(s)])
             ok &= colimit == boundary_cohomology(filling)
     # the three paper cases
-    ok &= group_cohomology(make_filling(2, [1])).ranks == {3: 1}
-    ok &= group_cohomology(make_filling(3, [2])).ranks == {3: INFINITE, 4: 1}
-    ok &= group_cohomology(make_filling(3, [3])).ranks == {2: INFINITE, 3: INFINITE, 4: 1}
+    ok &= group_cohomology(axis_filling(2, [1])).ranks == {3: 1}
+    ok &= group_cohomology(axis_filling(3, [2])).ranks == {3: INFINITE, 4: 1}
+    ok &= group_cohomology(axis_filling(3, [3])).ranks == {2: INFINITE, 3: INFINITE, 4: 1}
     report(7, ok, "closed form exact for 2<=n<=5, 1<=s<=n; round-robin colimits agree",
            time.time() - t0, 5.0)
 
 
 def test_criterion_8_classification_flags():
     t0 = time.time()
-    m = classify(make_filling(2, [1, 1])).flags
-    a = classify(make_filling(4, [2])).flags
-    b = classify(make_filling(3, [3])).flags
+    m = classify(axis_filling(2, [1, 1])).flags
+    a = classify(axis_filling(4, [2])).flags
+    b = classify(axis_filling(3, [3])).flags
     ok = (
         m["is_manifold"] and m["is_pd_group"] and m["cat_minus_one"]
         and m["simply_connected_at_infinity"] and m["flat_dims_present"] == []

@@ -3,9 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from conftest import make_filling
 from warpfill.cli import main
-from warpfill.filling_topology import filling_to_json_dict
+from warpfill.filling_topology import axis_filling, filling_to_json_dict
 from warpfill.model_spaces import LatticeTorus
 from warpfill.numerics import Const
 from warpfill.warp_engine import WarpedSpace, space_to_json_dict
@@ -35,7 +34,7 @@ def fg_file(tmp_path, fg_space):
 
 def filling_file(tmp_path, n, dims, side=7.0, name="spec.json"):
     path = tmp_path / name
-    path.write_text(json.dumps(filling_to_json_dict(make_filling(n, dims, side))))
+    path.write_text(json.dumps(filling_to_json_dict(axis_filling(n, dims, side))))
     return str(path)
 
 
@@ -223,7 +222,7 @@ class TestFillingAnalyze:
 
     def test_fractional_coefficients_are_input_error(self, tmp_path, capsys):
         spec = tmp_path / "frac.json"
-        doc = filling_to_json_dict(make_filling(2, [1]))
+        doc = filling_to_json_dict(axis_filling(2, [1]))
         doc["cusps"][0]["filling_coeffs"] = [[1.5, 0]]
         spec.write_text(json.dumps(doc))
         assert main(["filling-analyze", "--spec", str(spec)]) == 2

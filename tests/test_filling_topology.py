@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_filling
 from warpfill.errors import (
     EmptyJoinError,
     RankDeficientError,
@@ -19,6 +18,7 @@ from warpfill.filling_topology import (
     CohomologyProfile,
     CuspSpec,
     FillingSpec,
+    axis_filling,
     boundary_cohomology,
     classify,
     connect_sum_cohomology,
@@ -166,13 +166,13 @@ class TestJoinOracle:
 
 class TestTwoPiCheck:
     def test_square_seven_passes(self):
-        cusp = make_filling(2, [1]).cusps[0]
+        cusp = axis_filling(2, [1]).cusps[0]
         sy, ok = two_pi_check(cusp)
         assert sy == pytest.approx(7.0)
         assert ok
 
     def test_square_six_fails(self):
-        cusp = make_filling(2, [1], side=6.0).cusps[0]
+        cusp = axis_filling(2, [1], side=6.0).cusps[0]
         sy, ok = two_pi_check(cusp)
         assert sy == pytest.approx(6.0)
         assert not ok
@@ -244,13 +244,13 @@ class TestShellSequence:
     def test_manifold_filling_shells_stay_spheres(self):
         # d = 1 cores have reverse shadow S^1 * T^1 = S^3, which adds
         # nothing below the top degree
-        filling = make_filling(3, [1])
+        filling = axis_filling(3, [1])
         shells, colimit = shell_sequence(filling, [[0]] * 4)
         assert all(sh.ranks == {3: 1} for sh in shells)
         assert colimit.ranks == {3: 1}
 
     def test_single_cusp_growth(self):
-        filling = make_filling(3, [2])
+        filling = axis_filling(3, [2])
         shells, colimit = shell_sequence(filling, [[0]] * 4)
         # each shell adds one copy of S^0 * T^2 = {2: 2, 3: 1}; top stays 1
         for i, sh in enumerate(shells, start=1):
@@ -259,7 +259,7 @@ class TestShellSequence:
         assert colimit.ranks == {2: INFINITE, 3: 1}
 
     def test_monotone_under_schedule(self):
-        filling = make_filling(4, [1, 2, 3])
+        filling = axis_filling(4, [1, 2, 3])
         shells, colimit = shell_sequence(filling, [[0], [1, 2], [0, 1]])
         prev = CohomologyProfile({4: 1})
         for sh in shells:
@@ -271,12 +271,12 @@ class TestShellSequence:
 
     def test_empty_schedule(self):
         with pytest.raises(ScheduleEmptyError):
-            shell_sequence(make_filling(3, [1]), [])
+            shell_sequence(axis_filling(3, [1]), [])
 
     def test_colimit_matches_boundary_table(self):
         # a schedule that swallows every cusp reproduces the closed form
         for n, dims in [(3, [1]), (4, [1, 2]), (5, [3]), (4, [4])]:
-            filling = make_filling(n, dims)
+            filling = axis_filling(n, dims)
             _, colimit = shell_sequence(filling, [list(range(len(dims)))])
             assert colimit == boundary_cohomology(filling)
 
@@ -289,7 +289,7 @@ class TestGroupCohomology:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_table_shape(self, n):
         for s in range(1, n + 1):
-            prof = group_cohomology(make_filling(n, [s]))
+            prof = group_cohomology(axis_filling(n, [s]))
             assert prof.rank(n + 1) == 1
             for q in range(n - s + 2, n + 1):
                 assert prof.rank(q) is INFINITE
@@ -297,23 +297,23 @@ class TestGroupCohomology:
             assert prof.rank(n + 2) == 0
 
     def test_s_is_max_over_cusps(self):
-        filling = make_filling(4, [1, 3, 2])
+        filling = axis_filling(4, [1, 3, 2])
         assert filling.s == 3
         assert group_cohomology(filling).degrees == [3, 4, 5]
 
     def test_manifold_case_is_pd_like(self):
         # s = 1: a single Z in the top degree and nothing else
-        prof = group_cohomology(make_filling(3, [1, 1]))
+        prof = group_cohomology(axis_filling(3, [1, 1]))
         assert prof.ranks == {4: 1}
 
     def test_warns_without_two_pi(self):
-        filling = make_filling(2, [1], side=6.0)
+        filling = axis_filling(2, [1], side=6.0)
         with pytest.warns(UserWarning, match="2pi"):
             group_cohomology(filling)
 
     def test_boundary_is_shift_by_one(self):
         for n, dims in [(3, [2]), (4, [1, 4]), (5, [2, 3])]:
-            filling = make_filling(n, dims)
+            filling = axis_filling(n, dims)
             g = group_cohomology(filling)
             b = boundary_cohomology(filling)
             assert b.ranks == {q - 1: r for q, r in g.ranks.items()}
@@ -325,7 +325,7 @@ class TestGroupCohomology:
 
 class TestClassify:
     def test_manifold_filling(self):
-        rep = classify(make_filling(3, [1, 1]))
+        rep = classify(axis_filling(3, [1, 1]))
         assert rep.flags["is_manifold"]
         assert rep.flags["is_pd_group"]
         assert rep.flags["simply_connected_at_infinity"]
@@ -333,27 +333,27 @@ class TestClassify:
         assert rep.flags["flat_dims_present"] == [2]
 
     def test_cat_minus_one_needs_high_dims(self):
-        assert classify(make_filling(3, [2, 3])).flags["cat_minus_one"]
-        assert not classify(make_filling(3, [1])).flags["cat_minus_one"]
+        assert classify(axis_filling(3, [2, 3])).flags["cat_minus_one"]
+        assert not classify(axis_filling(3, [1])).flags["cat_minus_one"]
 
     def test_full_rank_cusp_kills_sc_infinity(self):
-        rep = classify(make_filling(3, [3]))
+        rep = classify(axis_filling(3, [3]))
         assert not rep.flags["simply_connected_at_infinity"]
         assert not rep.flags["systolic_excluded"]
         assert rep.flags["flat_dims_present"] == []
 
     def test_per_cusp_records(self):
-        rep = classify(make_filling(4, [1, 2]))
+        rep = classify(axis_filling(4, [1, 2]))
         assert rep.per_cusp[0][2:] == (3, 1)
         assert rep.per_cusp[1][2:] == (2, 2)
         assert all(ok for (_, ok, _, _) in rep.per_cusp)
 
     def test_two_pi_flag_false_when_short(self):
-        rep = classify(make_filling(2, [1], side=6.0))
+        rep = classify(axis_filling(2, [1], side=6.0))
         assert not rep.flags["two_pi_filling"]
 
     def test_render_mentions_key_facts(self):
-        text = classify(make_filling(3, [2])).render()
+        text = classify(axis_filling(3, [2])).render()
         assert "n = 3" in text and "s = 2" in text
         assert "H^q(G;ZG)" in text
 
@@ -368,12 +368,12 @@ class TestClassify:
             return real(torus)
 
         monkeypatch.setattr(ft, "torus_systole", counted)
-        rep = classify(make_filling(4, [1, 2, 3]))
+        rep = classify(axis_filling(4, [1, 2, 3]))
         assert calls == [1, 2, 3]
-        assert rep.group_cohomology == group_cohomology(make_filling(4, [1, 2, 3]))
+        assert rep.group_cohomology == group_cohomology(axis_filling(4, [1, 2, 3]))
 
     def test_report_json_is_serializable(self):
-        doc = classify(make_filling(4, [2, 4])).to_json_dict()
+        doc = classify(axis_filling(4, [2, 4])).to_json_dict()
         json.dumps(doc)
         assert doc["group_cohomology"]["5"] == 1
         assert doc["group_cohomology"]["4"] == "INFINITE"
@@ -385,7 +385,7 @@ class TestClassify:
 
 class TestSerialization:
     def test_roundtrip(self):
-        filling = make_filling(3, [1, 2])
+        filling = axis_filling(3, [1, 2])
         doc = filling_to_json_dict(filling)
         back = filling_from_json_dict(json.loads(json.dumps(doc)))
         assert back.n == filling.n
@@ -395,7 +395,7 @@ class TestSerialization:
             assert np.array_equal(c1.boundary_lattice.basis, c2.boundary_lattice.basis)
 
     def test_fractional_coefficients_rejected(self):
-        doc = filling_to_json_dict(make_filling(2, [1]))
+        doc = filling_to_json_dict(axis_filling(2, [1]))
         doc["cusps"][0]["filling_coeffs"] = [[1.5, 0]]
         with pytest.raises(ValidationError):
             filling_from_json_dict(doc)

@@ -61,6 +61,12 @@ class TestHalfplane:
             assert halfplane_distance(z, m) == pytest.approx(frac * d, abs=1e-7)
             assert halfplane_distance(m, w) == pytest.approx((1 - frac) * d, abs=1e-7)
 
+    @given(z=upper_half, w=upper_half)
+    @settings(max_examples=2000, deadline=None)
+    def test_geodesic_point_reaches_the_endpoint(self, z, w):
+        end = halfplane_geodesic_point(z, w, halfplane_distance(z, w))
+        assert halfplane_distance(end, w) <= 1e-12
+
 
 class TestStripMap:
     def test_basepoint(self):

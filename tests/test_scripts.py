@@ -1,0 +1,41 @@
+"""Smoke tests of the command-line scripts under scripts/."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import warpfill
+from warpfill.filling_topology import filling_from_json_dict
+from warpfill.warp_engine import space_from_json_dict
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    src = str(Path(warpfill.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+
+
+def test_make_spaces_writes_loadable_files(tmp_path):
+    proc = run_script("make_spaces.py", "--out-dir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    spaces = ("h2.json", "flat.json", "fg_space.json")
+    fillings = ("square7_d1.json", "square6_d1.json", "n3_d2.json")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(spaces + fillings)
+    for name in spaces:
+        space_from_json_dict(json.loads((tmp_path / name).read_text()))
+    for name in fillings:
+        filling_from_json_dict(json.loads((tmp_path / name).read_text()))
+
+
+def test_filling_survey_runs():
+    proc = run_script("filling_survey.py", "--n-max", "3")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()

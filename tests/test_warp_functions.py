@@ -10,8 +10,9 @@ from warpfill.errors import (
     MismatchError,
     OutOfDomainError,
     SlopeOrderError,
+    ValidationError,
 )
-from warpfill.numerics import Cosh, ExpShift, Sinh
+from warpfill.numerics import Cosh, ExpShift, Sinh, as_scalar_c2
 from warpfill.warp_functions import (
     CONSTRUCTION_TOL,
     KNOT_TOL,
@@ -100,6 +101,59 @@ class TestAgolSmooth:
                 a2 = fn.d(rr, 2)
                 assert a2.min() >= lo - 1e-12
                 assert a2.max() <= hi + 1e-12
+
+
+def _splices(fg_pair):
+    """The non-trivial splice pieces of f and g."""
+    return [
+        piece.fn
+        for w in (fg_pair["f"], fg_pair["g"])
+        for piece in w.pieces
+        if getattr(piece.fn, "trivial", True) is False
+    ]
+
+
+def _composite_gauss(fn, a, b, panels=2000, order=8):
+    """Composite Gauss-Legendre integral of a vectorized fn over [a, b]."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(a, b, panels + 1)
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    vals = fn((mid + half * x).ravel()).reshape(panels, order)
+    return float(np.sum(half * vals @ w))
+
+
+class TestSpliceDerivatives:
+    """The splice derivatives come from one spline, so each order is the
+    exact antiderivative of the next."""
+
+    def test_second_derivative_integrates_to_slope(self, fg_pair):
+        splices = _splices(fg_pair)
+        assert len(splices) == 4
+        for sp in splices:
+            integral = _composite_gauss(lambda r: sp.d(r, 2), sp.lo, sp.R)
+            assert integral == pytest.approx(sp.d(sp.R, 1) - sp.d(sp.lo, 1), abs=1e-12)
+
+    def test_slope_integrates_to_value(self, fg_pair):
+        for sp in _splices(fg_pair):
+            integral = _composite_gauss(lambda r: sp.d(r, 1), sp.lo, sp.R)
+            assert integral == pytest.approx(sp.d(sp.R, 0) - sp.d(sp.lo, 0), abs=1e-12)
+
+    def test_outside_the_window_defers_to_neighbours(self, fg_pair):
+        for sp in _splices(fg_pair):
+            left, right = sp.lo - 1e-3, sp.R + 1e-3
+            for order in (0, 1, 2):
+                assert sp.d(left, order) == sp.b.d(left, order)
+                assert sp.d(right, order) == sp.c.d(right, order)
+
+    def test_third_order_rejected(self, fg_pair):
+        sp = _splices(fg_pair)[0]
+        with pytest.raises(ValidationError):
+            sp.d(sp.R - 0.5 * sp.eps, 3)
+
+    def test_plain_callable_rejected(self):
+        with pytest.raises(TypeError):
+            as_scalar_c2(lambda r: r)
 
 
 # ---------------------------------------------------------------------------
