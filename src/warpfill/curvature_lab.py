@@ -61,53 +61,59 @@ TERM_LABELS = (
 
 @dataclass(frozen=True)
 class SectionalTerms:
-    t: float
+    """Term values at radius t; floats for a scalar t, arrays for an array t."""
+
+    t: float | np.ndarray
     terms: dict
     applicable: tuple
-    lower: float
-    upper: float
+    lower: float | np.ndarray
+    upper: float | np.ndarray
 
 
-def sectional_terms(f1, f2, dim1: int, dim2: int, t: float) -> SectionalTerms:
+def sectional_terms(f1, f2, dim1: int, dim2: int, t) -> SectionalTerms:
     """The candidate sectional-curvature values of a doubly warped metric.
 
     Every plane's curvature is a convex combination of the applicable terms,
     so [min, max] over them bounds all sectional curvatures at radius t.
     Exclusion rules: a factor of dimension 0 contributes nothing; a factor
     of dimension 1 drops its -(f')^2/f^2 term.
+
+    ``t`` is a scalar or an array; each warp is evaluated once per order on
+    the whole of it.
     """
     f1, f2 = as_scalar_c2(f1), as_scalar_c2(f2)
-    vals = {}
-    applicable = []
-
-    def ev(fn, order):
-        return float(fn.d(t, order))
-
-    if dim1 >= 1:
-        v1, d1, s1 = ev(f1, 0), ev(f1, 1), ev(f1, 2)
-        if v1 <= 0:
-            raise NonpositiveWarpError(f"f1({t}) = {v1} <= 0")
-        vals[TERM_LABELS[0]] = -s1 / v1
-        applicable.append(TERM_LABELS[0])
-        if dim1 >= 2:
-            vals[TERM_LABELS[2]] = -(d1 / v1) ** 2
-            applicable.append(TERM_LABELS[2])
-    if dim2 >= 1:
-        v2, d2, s2 = ev(f2, 0), ev(f2, 1), ev(f2, 2)
-        if v2 <= 0:
-            raise NonpositiveWarpError(f"f2({t}) = {v2} <= 0")
-        vals[TERM_LABELS[1]] = -s2 / v2
-        applicable.append(TERM_LABELS[1])
-        if dim2 >= 2:
-            vals[TERM_LABELS[3]] = -(d2 / v2) ** 2
-            applicable.append(TERM_LABELS[3])
-    if dim1 >= 1 and dim2 >= 1:
-        vals[TERM_LABELS[4]] = -(ev(f1, 1) / ev(f1, 0)) * (ev(f2, 1) / ev(f2, 0))
-        applicable.append(TERM_LABELS[4])
-    if not applicable:
+    if dim1 < 1 and dim2 < 1:
         raise ValidationError("both factor dimensions are zero")
-    act = [vals[k] for k in applicable]
-    return SectionalTerms(float(t), vals, tuple(applicable), min(act), max(act))
+    t = np.asarray(t, dtype=float)
+    vals = {}
+    slopes = []  # f'/f of each present factor, for the mixed term
+    for name, fn, dim, ratio_label, square_label in (
+        ("f1", f1, dim1, TERM_LABELS[0], TERM_LABELS[2]),
+        ("f2", f2, dim2, TERM_LABELS[1], TERM_LABELS[3]),
+    ):
+        if dim < 1:
+            continue
+        v, d1, d2 = (np.asarray(fn.d(t, order), dtype=float) for order in (0, 1, 2))
+        bad = np.flatnonzero(v <= 0)
+        if bad.size:
+            first = bad[0]
+            raise NonpositiveWarpError(
+                f"{name}({float(t.flat[first])}) = {float(v.flat[first])} <= 0"
+            )
+        vals[ratio_label] = -d2 / v
+        slope = d1 / v
+        if dim >= 2:
+            vals[square_label] = -(slope**2)
+        slopes.append(slope)
+    if len(slopes) == 2:
+        vals[TERM_LABELS[4]] = -slopes[0] * slopes[1]
+    stacked = np.stack(list(vals.values()))
+    lower, upper = stacked.min(axis=0), stacked.max(axis=0)
+    if t.ndim == 0:
+        return SectionalTerms(
+            float(t), {k: float(v) for k, v in vals.items()}, tuple(vals), float(lower), float(upper)
+        )
+    return SectionalTerms(t, vals, tuple(vals), lower, upper)
 
 
 # ---------------------------------------------------------------------------
@@ -115,44 +121,42 @@ def sectional_terms(f1, f2, dim1: int, dim2: int, t: float) -> SectionalTerms:
 # ---------------------------------------------------------------------------
 
 def _metric_fn(space: WarpedSpace):
+    """The diagonal chart metric, evaluated at points of shape (..., n)."""
     k, tdim = space.euclid_dim, space.torus_dim
     n = 1 + k + tdim
 
     def metric(x):
-        r = x[0]
-        diag = np.empty(n)
-        diag[0] = 1.0
+        x = np.asarray(x, dtype=float)
+        r = x[..., 0]
+        diag = np.ones(x.shape)
         if k:
-            diag[1:1 + k] = float(space.g(r)) ** 2
+            diag[..., 1:1 + k] = (space.g(r) ** 2)[..., None]
         if tdim:
-            diag[1 + k:] = float(space.f(r)) ** 2
-        return np.diag(diag)
+            diag[..., 1 + k:] = (space.f(r) ** 2)[..., None]
+        return diag[..., None] * np.eye(n)
 
     return metric, n
 
 
-def _christoffel(metric, x, n, h=FD_STEP_METRIC):
-    g = metric(x)
-    ginv = np.linalg.inv(g)
-    dg = np.empty((n, n, n))  # dg[m] = d_m g
-    for m in range(n):
-        def comp(t, m=m):
-            y = x.copy()
-            y[m] = t
-            return metric(y)
+def _richardson(v, h):
+    """Richardson-extrapolated central difference from values at the offsets
+    (+h, -h, +h/2, -h/2) stacked along axis 0."""
+    d1 = (v[0] - v[1]) / (2 * h)
+    d2 = (v[2] - v[3]) / h
+    return (4.0 * d2 - d1) / 3.0
 
-        d1 = (comp(x[m] + h) - comp(x[m] - h)) / (2 * h)
-        d2 = (comp(x[m] + h / 2) - comp(x[m] - h / 2)) / h
-        dg[m] = (4.0 * d2 - d1) / 3.0
-    gamma = np.empty((n, n, n))  # gamma[l, i, j] = Gamma^l_{ij}
-    for l in range(n):
-        for i in range(n):
-            for j in range(n):
-                s = 0.0
-                for m in range(n):
-                    s += ginv[l, m] * (dg[i][m, j] + dg[j][m, i] - dg[m][i, j])
-                gamma[l, i, j] = 0.5 * s
-    return gamma
+
+def _offsets(h, axes, n):
+    """(4, len(axes), n): the Richardson offsets +h, -h, +h/2, -h/2 along each axis."""
+    steps = np.array([h, -h, h / 2, -h / 2])
+    return steps[:, None, None] * np.eye(n)[list(axes)]
+
+
+def _christoffel(g, dg):
+    """gamma[..., l, i, j] = Gamma^l_ij from the metric g[..., a, b] and its
+    derivatives dg[..., m, a, b] = d_m g_ab."""
+    bracket = np.einsum("...imj->...mij", dg) + np.einsum("...jmi->...mij", dg) - dg
+    return 0.5 * np.einsum("...lm,...mij->...lij", np.linalg.inv(g), bracket)
 
 
 def fd_sectional(space: WarpedSpace, point: WPoint, plane: tuple, h: float = FD_STEP_METRIC) -> float:
@@ -160,7 +164,9 @@ def fd_sectional(space: WarpedSpace, point: WPoint, plane: tuple, h: float = FD_
 
     Chart coordinates are (r, e_1..e_k, theta_1..theta_tdim); the metric is
     diagonal.  Christoffels and their derivatives come from Richardson-
-    extrapolated central differences with step ``h``.
+    extrapolated central differences with step ``h``.  The metric is
+    evaluated twice: at x and its eight offsets along axes i and j, and at
+    the 4n stencil points around each of those nine.
     """
     space.check_point(point)
     if space.torus is not None and float(space.f(point.r)) < 1e-8:
@@ -171,19 +177,13 @@ def fd_sectional(space: WarpedSpace, point: WPoint, plane: tuple, h: float = FD_
         raise ValidationError(f"plane {plane} invalid for chart dimension {n}")
     x = np.concatenate(([point.r], point.e, point.theta))
 
-    gamma = _christoffel(metric, x, n, h)
-
-    def dgamma(m):
-        def comp(t):
-            y = x.copy()
-            y[m] = t
-            return _christoffel(metric, y, n, h)
-
-        d1 = (comp(x[m] + h) - comp(x[m] - h)) / (2 * h)
-        d2 = (comp(x[m] + h / 2) - comp(x[m] - h / 2)) / h
-        return (4.0 * d2 - d1) / 3.0
-
-    dgi, dgj = dgamma(i), dgamma(j)
+    # x, then x shifted by each of +h, -h, +h/2, -h/2 along i and along j
+    base = np.concatenate((x[None], (x + _offsets(h, (i, j), n)).reshape(8, n)))
+    g = metric(base)
+    dg = _richardson(metric(base[None, :, None, :] + _offsets(h, range(n), n)[:, None]), h)
+    gammas = _christoffel(g, dg)
+    gamma = gammas[0]
+    dgi, dgj = _richardson(gammas[1:].reshape(4, 2, n, n, n), h)
     # (R(d_i, d_j) d_j)^l
     rl = (
         dgi[:, j, j]
@@ -191,7 +191,7 @@ def fd_sectional(space: WarpedSpace, point: WPoint, plane: tuple, h: float = FD_
         + np.einsum("la,a->l", gamma[:, i, :], gamma[:, j, j])
         - np.einsum("la,a->l", gamma[:, j, :], gamma[:, i, j])
     )
-    g = metric(x)
+    g = g[0]
     num = float(g[i] @ rl)
     denom = g[i, i] * g[j, j] - g[i, j] ** 2
     return num / denom
@@ -358,15 +358,10 @@ def curvature_scan(space: WarpedSpace, config: ScanConfig) -> dict:
         raise ValidationError("curvature_scan expects a doubly warped space")
     k, tdim = space.euclid_dim, space.torus_dim
     rs = np.linspace(config.r_lo, config.r_hi, config.n_grid)
-    rows = []
-    uppers = np.empty(len(rs))
-    lowers = np.empty(len(rs))
-    for i, r in enumerate(rs):
-        st = sectional_terms(space.warp_g, space.warp_f, k, tdim, float(r))
-        uppers[i] = st.upper
-        lowers[i] = st.lower
-        rows.append({"r": float(r), **st.terms, "lower": st.lower, "upper": st.upper})
-    empirical_kappa = float(np.min(-uppers))
+    st = sectional_terms(space.warp_g, space.warp_f, k, tdim, rs)
+    columns = {"r": rs, **st.terms, "lower": st.lower, "upper": st.upper}
+    rows = [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
+    empirical_kappa = float(np.min(-st.upper))
 
     rng = np.random.default_rng(config.seed)
     n_chart = 1 + k + tdim
@@ -375,18 +370,19 @@ def curvature_scan(space: WarpedSpace, config: ScanConfig) -> dict:
     ok = True
     # stay inside the grid so the FD stencils do not cross the domain ends
     margin = 10 * FD_STEP_METRIC
-    interior = rs[(rs > config.r_lo + margin) & (rs < config.r_hi - margin)]
+    interior = np.flatnonzero((rs > config.r_lo + margin) & (rs < config.r_hi - margin))
     for _ in range(config.fd_checks):
-        r = float(rng.choice(interior))
+        idx = int(rng.choice(interior))
+        r = float(rs[idx])
         plane = planes[int(rng.integers(len(planes)))]
         pt = WPoint.make(r, k=k, tdim=tdim)
         kappa_fd = fd_sectional(space, pt, plane)
-        st = sectional_terms(space.warp_g, space.warp_f, k, tdim, r)
-        inside = st.lower - config.fd_band <= kappa_fd <= st.upper + config.fd_band
+        lower, upper = float(st.lower[idx]), float(st.upper[idx])
+        inside = lower - config.fd_band <= kappa_fd <= upper + config.fd_band
         ok = ok and inside
         checks.append(
             {"r": r, "plane": list(plane), "fd": float(kappa_fd),
-             "lower": st.lower, "upper": st.upper, "inside": bool(inside)}
+             "lower": lower, "upper": upper, "inside": bool(inside)}
         )
     return {
         "rows": rows,

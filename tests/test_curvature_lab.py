@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from warpfill.curvature_lab import (
+    TERM_LABELS,
     ScanConfig,
+    _christoffel,
+    _metric_fn,
     cat_test,
     curvature_scan,
     fd_sectional,
@@ -45,6 +48,48 @@ class TestSectionalTerms:
         with pytest.raises(NonpositiveWarpError):
             sectional_terms(Sinh(), Cosh(), 1, 1, 0.0)
 
+    @pytest.mark.parametrize(
+        "pair, dims, interval",
+        [
+            ("built", (1, 1), (0.0, 2.6)),
+            ((Cosh(), Sinh()), (1, 1), (0.0, 3.0)),
+            ((ExpShift(0.3), ScaledExp(2.0)), (2, 2), (-2.0, 2.0)),
+            ((Cosh(), Sinh()), (1, 0), (0.0, 3.0)),
+            ((Cosh(), Sinh()), (0, 1), (0.0, 3.0)),
+        ],
+    )
+    def test_array_matches_scalar_calls(self, fg_pair, pair, dims, interval):
+        f1, f2 = (fg_pair["g"], fg_pair["f"]) if pair == "built" else pair
+        rs = np.linspace(interval[0], interval[1], 1001)[1:-1]
+        batch = sectional_terms(f1, f2, *dims, rs)
+        for i, r in enumerate(rs):
+            st = sectional_terms(f1, f2, *dims, float(r))
+            assert st.applicable == batch.applicable
+            assert tuple(st.terms) == tuple(batch.terms)
+            for label in st.applicable:
+                assert batch.terms[label][i] == pytest.approx(st.terms[label], rel=1e-12)
+            assert batch.lower[i] == pytest.approx(st.lower, rel=1e-12)
+            assert batch.upper[i] == pytest.approx(st.upper, rel=1e-12)
+
+    def test_applicable_order(self):
+        st = sectional_terms(ExpShift(0.0), ExpShift(0.0), 3, 2, np.array([0.1, 0.7]))
+        assert st.applicable == (
+            TERM_LABELS[0], TERM_LABELS[2], TERM_LABELS[1], TERM_LABELS[3], TERM_LABELS[4]
+        )
+        assert tuple(st.terms) == st.applicable
+
+    def test_scalar_call_returns_floats(self):
+        st = sectional_terms(Cosh(), Sinh(), 2, 2, 0.5)
+        assert type(st.t) is float
+        assert type(st.lower) is float and type(st.upper) is float
+        assert all(type(v) is float for v in st.terms.values())
+
+    def test_array_names_first_nonpositive_radius(self):
+        with pytest.raises(NonpositiveWarpError, match=r"f2\(0\.0\) = 0\.0 <= 0"):
+            sectional_terms(Cosh(), Sinh(), 1, 1, np.array([0.5, 0.0, 0.7]))
+        with pytest.raises(NonpositiveWarpError, match=r"f1\(-0\.25\)"):
+            sectional_terms(Sinh(), Cosh(), 1, 1, np.array([0.5, -0.25, 0.0]))
+
     def test_fg_scan_is_negative(self, fg_pair):
         rs = np.linspace(fg_pair["f"].delta, 2.6 - 1e-6, 400)
         uppers = [
@@ -76,6 +121,38 @@ class TestFdSectional:
         # r-axis rescaled by c = 2: curvature drops to -1/4
         space = WarpedSpace(interval=(-3, 3), euclid_dim=1, warp_g=ScaledExp(2.0))
         assert fd_sectional(space, WPoint(0.2, [0.0]), (0, 1)) == pytest.approx(-0.25, abs=1e-4)
+
+    def test_hyperbolic_four_space_all_planes(self):
+        space = WarpedSpace(interval=(-3, 3), euclid_dim=3, warp_g=ExpShift(0.0))
+        pt = WPoint(0.3, [0.1, -0.2, 0.5])
+        for plane in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]:
+            assert fd_sectional(space, pt, plane) == pytest.approx(-1.0, abs=1e-6)
+
+    def test_christoffel_matches_the_loop_contraction(self):
+        rng = np.random.default_rng(11)
+        n = 4
+        a = rng.normal(size=(n, n))
+        g = a @ a.T + n * np.eye(n)
+        dg = rng.normal(size=(n, n, n))
+        dg = dg + dg.transpose(0, 2, 1)  # dg[m] = d_m g is symmetric
+        gamma = _christoffel(g, dg)
+        ginv = np.linalg.inv(g)
+        for l, i, j in np.ndindex(n, n, n):
+            ref = 0.5 * sum(
+                ginv[l, m] * (dg[i, m, j] + dg[j, m, i] - dg[m, i, j]) for m in range(n)
+            )
+            assert gamma[l, i, j] == pytest.approx(ref, rel=1e-12, abs=1e-14)
+
+    def test_metric_on_a_stack_matches_single_points(self, singular_model):
+        # analytic warps: the built pair's ellipse arc is not batch-invariant
+        # to the last bit
+        metric, n = _metric_fn(singular_model)
+        rng = np.random.default_rng(7)
+        points = np.column_stack([rng.uniform(0.01, 3.0, 5), rng.uniform(-1, 1, (5, n - 1))])
+        stacked = metric(points)
+        assert stacked.shape == (5, n, n)
+        for x, g in zip(points, stacked):
+            assert np.array_equal(g, metric(x))
 
     def test_singular_point_rejected(self, singular_model):
         with pytest.raises(SingularPointError):
@@ -173,6 +250,17 @@ class TestCurvatureScan:
         report = curvature_scan(fg_space, config)
         assert report["empirical_kappa"] > 0
         assert report["fd_checks_ok"]
+
+    def test_rows_and_fd_checks_share_the_terms(self, fg_space):
+        config = ScanConfig(r_lo=0.205, r_hi=1.785, n_grid=81, fd_checks=4, seed=3)
+        report = curvature_scan(fg_space, config)
+        keys = ["r", "-f1''/f1", "-f2''/f2", "-f1'f2'/(f1 f2)", "lower", "upper"]
+        assert all(list(row) == keys for row in report["rows"])
+        assert all(type(v) is float for v in report["rows"][0].values())
+        by_r = {row["r"]: row for row in report["rows"]}
+        for check in report["fd_checks"]:
+            row = by_r[check["r"]]
+            assert (check["lower"], check["upper"]) == (row["lower"], row["upper"])
 
     def test_tail_is_hyperbolic(self, fg_space):
         config = ScanConfig(r_lo=1.9, r_hi=2.55, n_grid=41, fd_checks=2, seed=0)
