@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from math import comb, pi
 
 import numpy as np
-import sympy
-from sympy.matrices.normalforms import smith_normal_form
 
 from .errors import (
     EmptyJoinError,
@@ -25,6 +23,7 @@ from .errors import (
     TopMismatchError,
     ValidationError,
 )
+from .lattice import elementary_divisors
 from .model_spaces import LatticeTorus, torus_systole
 
 __all__ = [
@@ -109,11 +108,9 @@ class CuspSpec:
             raise ValidationError(
                 f"filling_coeffs has {n} columns, lattice has rank {self.boundary_lattice.dim}"
             )
-        m = sympy.Matrix(c.tolist())
-        if m.rank() != d:
+        divisors = elementary_divisors(c.tolist())
+        if len(divisors) != d:
             raise RankDeficientError("filling_coeffs rows are dependent")
-        snf = smith_normal_form(m)
-        divisors = [abs(snf[i, i]) for i in range(d)]
         if any(e != 1 for e in divisors):
             raise ValidationError(
                 f"filling sublattice not primitive (elementary divisors {divisors})"

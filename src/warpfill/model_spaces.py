@@ -1,22 +1,23 @@
 """Closed-form comparison oracles.
 
-Everything here has an exact formula: hyperbolic half-plane distances, the
-strip isometry h(t,a) = e^{ua}(tanh t + i sech t), comparison triangles in
-S_kappa for kappa <= 0 (hyperboloid model), flat lattice tori, and the
-spherical-join metric of two metric spaces.  These are the independent
-yardsticks the variational solver and the curvature tests are measured
-against, so nothing in this module may depend on warp_engine.
+Everything here has an exact formula or an exact search: hyperbolic
+half-plane distances, the strip isometry h(t,a) = e^{ua}(tanh t + i sech t),
+comparison triangles in S_kappa for kappa <= 0 (hyperboloid model), flat
+lattice tori (systoles and distances by LLL-reduced enumeration, see
+``lattice``), and the spherical-join metric of two metric spaces.  These are
+the independent yardsticks the variational solver and the curvature tests
+are measured against, so nothing in this module may depend on warp_engine.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateError, DomainError, OutOfRangeError, ValidationError
+from .lattice import closest_vector, shortest_vector
 
 __all__ = [
     "LatticeTorus",
@@ -182,6 +183,8 @@ class LatticeTorus:
         b = np.asarray(self.basis, dtype=float)
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise ValidationError(f"basis must be square, got shape {b.shape}")
+        if not np.all(np.isfinite(b)):
+            raise ValidationError(f"basis has non-finite entries: {b.tolist()}")
         if abs(np.linalg.det(b)) < 1e-12:
             raise ValidationError("basis is singular")
         object.__setattr__(self, "basis", b)
@@ -206,27 +209,14 @@ class LatticeTorus:
         return json.dumps(self.to_json_dict())
 
 
-def _coeff_box(radius: int, dim: int):
-    rng = range(-radius, radius + 1)
-    return itertools.product(*([rng] * dim))
-
-
 def torus_distance(T: LatticeTorus, x, y) -> float:
-    """Distance on the flat torus between fundamental-domain representatives.
+    """Distance on the flat torus between any representatives x and y.
 
-    Minimum of |x - y + v| over lattice translates v, enumerated over a
-    coefficient box sized from the chart difference and the shortest basis
-    row.
+    Minimum of |x - y + v| over lattice vectors v: the closest lattice
+    vector to y - x, found exactly by ``lattice.closest_vector``.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    d = x - y
-    shortest = min(np.linalg.norm(T.basis, axis=1))
-    radius = int(np.ceil(np.linalg.norm(d) / shortest)) + 1
-    best = np.inf
-    for coeffs in _coeff_box(radius, T.dim):
-        best = min(best, float(np.linalg.norm(d + np.asarray(coeffs, dtype=float) @ T.basis)))
-    return best
+    d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    return float(np.linalg.norm(d + closest_vector(T.basis, -d)))
 
 
 def torus_reduce(T: LatticeTorus, x) -> np.ndarray:
@@ -237,23 +227,9 @@ def torus_reduce(T: LatticeTorus, x) -> np.ndarray:
 
 
 def torus_systole(T: LatticeTorus) -> float:
-    """Length of the shortest nonzero lattice vector (naive enumeration).
-
-    The per-axis coefficient bound comes from the Gram matrix's smallest
-    eigenvalue: |c @ basis|^2 >= lambda_min |c|^2, and some axis vector gives
-    an upper bound on the systole.
-    """
-    row_norms = np.linalg.norm(T.basis, axis=1)
-    upper = float(row_norms.min())
-    lam_min = float(np.linalg.eigvalsh(T.gram).min())
-    radius = int(np.ceil(upper / np.sqrt(lam_min))) + 1
-    best = upper
-    for coeffs in _coeff_box(radius, T.dim):
-        c = np.asarray(coeffs, dtype=float)
-        if not c.any():
-            continue
-        best = min(best, float(np.linalg.norm(c @ T.basis)))
-    return best
+    """Length of the shortest nonzero lattice vector, found exactly by
+    ``lattice.shortest_vector``."""
+    return float(np.linalg.norm(shortest_vector(T.basis)))
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,17 @@ class TestFillingAnalyze:
         assert "error:" in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
 
+    def test_non_finite_basis_is_input_error(self, tmp_path, capsys):
+        spec = tmp_path / "nan.json"
+        doc = filling_to_json_dict(axis_filling(2, [1]))
+        doc["cusps"][0]["basis"][0][0] = float("nan")
+        spec.write_text(json.dumps(doc))
+        assert "NaN" in spec.read_text()
+        assert main(["filling-analyze", "--spec", str(spec)]) == 2
+        captured = capsys.readouterr()
+        assert "non-finite" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_malformed_spec(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -1,5 +1,6 @@
 import itertools
 import json
+import time
 
 import numpy as np
 import pytest
@@ -189,6 +190,11 @@ class TestTwoPiCheck:
         with pytest.raises(ValidationError):
             CuspSpec(lat, np.array([[2, 0]]))
 
+    def test_non_primitive_message_lists_divisors(self):
+        lat = LatticeTorus(np.eye(3) * 7.0)
+        with pytest.raises(ValidationError, match=r"elementary divisors \[1, 6\]"):
+            CuspSpec(lat, np.array([[2, 0, 0], [0, 3, 0]]))
+
     def test_rank_deficient_rejected(self):
         lat = LatticeTorus(np.eye(3) * 7.0)
         with pytest.raises(RankDeficientError):
@@ -347,6 +353,23 @@ class TestClassify:
         assert rep.per_cusp[0][2:] == (3, 1)
         assert rep.per_cusp[1][2:] == (2, 2)
         assert all(ok for (_, ok, _, _) in rep.per_cusp)
+
+    @pytest.mark.parametrize("n,dims,side", [(6, [6], 6.5), (8, [8, 3], 6.0)])
+    def test_bidiagonal_twin_is_fast_and_matches_base(self, n, dims, side):
+        # the twin's sublattice basis is bidiagonal, far from orthogonal; a
+        # coefficient-box enumeration took 110 s on the 6 x 6 one
+        base = axis_filling(n, dims, side=side)
+        twin = FillingSpec(n, tuple(
+            CuspSpec(c.boundary_lattice, (np.eye(c.d, dtype=int) + np.eye(c.d, k=1, dtype=int))
+                     @ c.filling_coeffs)
+            for c in base.cusps))
+        start = time.perf_counter()
+        rep = classify(twin)
+        assert time.perf_counter() - start < 1.0
+        ref = classify(base)
+        assert [c[0] for c in rep.per_cusp] == pytest.approx([side] * len(dims), rel=1e-12)
+        assert [c[1:] for c in rep.per_cusp] == [c[1:] for c in ref.per_cusp]
+        assert rep.flags == ref.flags
 
     def test_two_pi_flag_false_when_short(self):
         rep = classify(axis_filling(2, [1], side=6.0))

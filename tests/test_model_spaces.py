@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warpfill.errors import DegenerateError, DomainError, OutOfRangeError
+from warpfill.errors import DegenerateError, DomainError, OutOfRangeError, ValidationError
 from warpfill.model_spaces import (
     ComparisonTriangle,
     JoinPoint,
@@ -137,6 +139,50 @@ class TestComparisonTriangles:
         assert tri.distance(m1, m2) < 0.5
 
 
+@st.composite
+def skewed_lattices(draw):
+    """A basis in dimension 2-4: either the skewed rows (1, 0), (a, b) with
+    a in [5, 30] and b in [0.02, 0.3], padded by unit rows, or a square
+    lattice under a random unimodular change of basis."""
+    n = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        basis = np.eye(n)
+        basis[1, :2] = draw(st.floats(5.0, 30.0)), draw(st.floats(0.02, 0.3))
+        return basis
+    u = np.eye(n, dtype=int)
+    for _ in range(n):
+        i = draw(st.integers(0, n - 1))
+        j = draw(st.integers(0, n - 2))
+        u[i] += draw(st.integers(-2, 2)) * u[j + (j >= i)]
+    return u * draw(st.floats(0.5, 4.0))
+
+
+def brute_nearest(basis, target, rho, nonzero=False):
+    """min |c @ basis - target| over integer c, zero excluded if ``nonzero``,
+    given that some lattice vector lies within ``rho`` of target.
+
+    A lattice vector v = c @ basis within rho of target has
+    |c_i - t_i| <= rho sqrt((G^-1)_ii), where t = target @ basis^-1 and
+    G = basis basis^T: c - t = (v - target) @ basis^-1, and the i-th column
+    of basis^-1 has norm sqrt((G^-1)_ii).  So the box below holds every
+    candidate; the widest axis is vectorized, the others looped over.
+    """
+    n = len(basis)
+    t = np.linalg.solve(basis.T, target)
+    half = rho * np.sqrt(np.diag(np.linalg.inv(basis @ basis.T)))
+    axes = [np.arange(np.floor(c - h), np.ceil(c + h) + 1) for c, h in zip(t, half)]
+    wide = int(np.argmax([len(a) for a in axes]))
+    best = np.inf
+    for rest in itertools.product(*(a for k, a in enumerate(axes) if k != wide)):
+        c = np.zeros((len(axes[wide]), n))
+        c[:, wide] = axes[wide]
+        c[:, [k for k in range(n) if k != wide]] = rest
+        if nonzero:
+            c = c[np.any(c != 0, axis=1)]
+        best = min(best, np.min(np.linalg.norm(c @ basis - target, axis=1), initial=np.inf))
+    return best
+
+
 class TestTorus:
     def test_zero_distance(self):
         T = LatticeTorus(np.eye(2) * 7.0)
@@ -180,6 +226,33 @@ class TestTorus:
         assert torus_systole(LatticeTorus(basis * s)) == pytest.approx(
             s * torus_systole(LatticeTorus(basis)), rel=1e-12
         )
+
+    @given(basis=skewed_lattices(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_skewed_against_brute_force(self, basis, data):
+        n = len(basis)
+        T = LatticeTorus(basis)
+        # the shortest basis row bounds the systole from above
+        rho = np.linalg.norm(basis, axis=1).min()
+        assert torus_systole(T) == pytest.approx(
+            brute_nearest(basis, np.zeros(n), rho, nonzero=True), rel=1e-9)
+        coeffs = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
+        x = np.array(data.draw(coeffs)) @ basis
+        y = np.array(data.draw(coeffs)) @ basis
+        # nearest-plane rounding along the Gram-Schmidt frame reaches a
+        # lattice vector within half the diagonal of the frame's box
+        rho = 0.5 * np.linalg.norm(np.diag(np.linalg.qr(basis.T, mode="r")))
+        assert torus_distance(T, x, y) == pytest.approx(
+            brute_nearest(basis, y - x, rho), rel=1e-9, abs=1e-9)
+
+    def test_systole_of_the_skewed_3d_rows(self):
+        T = LatticeTorus(np.array([[7.0, 0.0, 0.0], [30.0, 0.3, 0.0], [2.0, 5.0, 7.5]]))
+        assert torus_systole(T) == pytest.approx(1.3453624047, abs=1e-9)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_basis_rejected(self, bad):
+        with pytest.raises(ValidationError, match="non-finite"):
+            LatticeTorus(np.array([[7.0, 0.0], [bad, 7.0]]))
 
     def test_distance_bounded_by_euclidean(self):
         rng = np.random.default_rng(3)
