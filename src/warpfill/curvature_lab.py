@@ -78,8 +78,8 @@ def sectional_terms(f1, f2, dim1: int, dim2: int, t) -> SectionalTerms:
     Exclusion rules: a factor of dimension 0 contributes nothing; a factor
     of dimension 1 drops its -(f')^2/f^2 term.
 
-    ``t`` is a scalar or an array; each warp is evaluated once per order on
-    the whole of it.
+    ``t`` is a scalar or an array; each warp's jet is evaluated once on the
+    whole of it.
     """
     f1, f2 = as_scalar_c2(f1), as_scalar_c2(f2)
     if dim1 < 1 and dim2 < 1:
@@ -93,7 +93,7 @@ def sectional_terms(f1, f2, dim1: int, dim2: int, t) -> SectionalTerms:
     ):
         if dim < 1:
             continue
-        v, d1, d2 = (np.asarray(fn.d(t, order), dtype=float) for order in (0, 1, 2))
+        v, d1, d2 = (np.asarray(x, dtype=float) for x in fn.jet(t, 2))
         bad = np.flatnonzero(v <= 0)
         if bad.size:
             first = bad[0]

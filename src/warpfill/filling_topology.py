@@ -10,6 +10,7 @@ sentinel, never a number.
 from __future__ import annotations
 
 import json
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from math import comb, pi
@@ -78,18 +79,25 @@ def _add_ranks(a, b):
 # ---------------------------------------------------------------------------
 
 def _integer_matrix(values) -> np.ndarray:
-    """``values`` as an int array; an entry that is not an integer raises
-    ``ValidationError`` instead of being truncated."""
+    """``values`` as an int64 array; an entry that is not an integer, or an
+    integer outside int64, raises ``ValidationError`` instead of being
+    truncated or wrapped."""
     try:
         raw = np.asarray(values)
     except ValueError as exc:
         raise ValidationError(f"filling_coeffs is not a matrix: {exc}") from None
-    integral = raw.dtype.kind in "iu" or (
-        raw.dtype.kind == "f" and np.all(np.isfinite(raw)) and np.all(raw == np.round(raw))
-    )
+    kind = raw.dtype.kind
+    if kind == "O":  # numpy keeps Python ints beyond int64 as objects
+        integral = all(isinstance(v, numbers.Integral) for v in raw.flat)
+    elif kind == "f":
+        integral = bool(np.all(np.isfinite(raw)) and np.all(raw == np.round(raw)))
+    else:
+        integral = kind in "iu"
     if not integral:
         raise ValidationError(f"filling_coeffs must be integers, got {raw.tolist()}")
-    return raw.astype(int)
+    if kind != "i" and not all(-(2**63) <= int(v) < 2**63 for v in raw.flat):
+        raise ValidationError(f"filling_coeffs entries do not fit in int64, got {raw.tolist()}")
+    return raw.astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -171,6 +171,12 @@ def triangle_point(tri: ComparisonTriangle, side: int, arclength: float):
 # flat tori
 # ---------------------------------------------------------------------------
 
+# a basis is singular when its smallest singular value is at most this
+# fraction of its largest (condition number 1e12 or more); the test is
+# relative, so it does not depend on the torus's scale
+SINGULAR_RTOL = 1e-12
+
+
 @dataclass(frozen=True)
 class LatticeTorus:
     """Flat torus E^n / L with L spanned by the rows of ``basis``."""
@@ -185,7 +191,8 @@ class LatticeTorus:
             raise ValidationError(f"basis must be square, got shape {b.shape}")
         if not np.all(np.isfinite(b)):
             raise ValidationError(f"basis has non-finite entries: {b.tolist()}")
-        if abs(np.linalg.det(b)) < 1e-12:
+        sv = np.linalg.svd(b, compute_uv=False)
+        if sv.size and sv[-1] <= SINGULAR_RTOL * sv[0]:
             raise ValidationError("basis is singular")
         object.__setattr__(self, "basis", b)
         object.__setattr__(self, "dim", b.shape[0])

@@ -9,11 +9,19 @@ import numpy as np
 class ScalarC2:
     """A real function of one real variable with derivatives up to order 2.
 
-    Subclasses implement ``d(r, order)`` vectorized over numpy arrays.
+    Subclasses implement ``d(r, order)`` vectorized over numpy arrays;
+    ``jet(r, n)`` returns the orders 0..n together, and subclasses that can
+    share work between the orders override it.  Entries of a jet may share
+    memory (sinh is its own second derivative), so callers do not write
+    into them.
     """
 
     def d(self, r, order=0):
         raise NotImplementedError
+
+    def jet(self, r, n=2):
+        """[d(r, 0), ..., d(r, n)]."""
+        return [self.d(r, order) for order in range(n + 1)]
 
     def __call__(self, r):
         return self.d(r, 0)
@@ -25,12 +33,22 @@ class Sinh(ScalarC2):
     def d(self, r, order=0):
         return np.sinh(r) if order % 2 == 0 else np.cosh(r)
 
+    def jet(self, r, n=2):
+        s = np.sinh(r)
+        c = np.cosh(r) if n else s
+        return [(s, c)[order % 2] for order in range(n + 1)]
+
 
 class Cosh(ScalarC2):
     name = "cosh"
 
     def d(self, r, order=0):
         return np.cosh(r) if order % 2 == 0 else np.sinh(r)
+
+    def jet(self, r, n=2):
+        c = np.cosh(r)
+        s = np.sinh(r) if n else c
+        return [(c, s)[order % 2] for order in range(n + 1)]
 
 
 class ExpShift(ScalarC2):
@@ -43,6 +61,9 @@ class ExpShift(ScalarC2):
 
     def d(self, r, order=0):
         return np.exp(np.asarray(r, dtype=float) - self.shift)
+
+    def jet(self, r, n=2):
+        return [self.d(r)] * (n + 1)
 
 
 class LinearR(ScalarC2):
@@ -96,8 +117,6 @@ ANALYTIC_REGISTRY = {
 
 def as_scalar_c2(obj) -> ScalarC2:
     if isinstance(obj, ScalarC2):
-        return obj
-    if hasattr(obj, "d"):
         return obj
     raise TypeError(f"cannot interpret {obj!r} as a scalar C2 function")
 

@@ -62,9 +62,9 @@ MAX_SEGMENTS = 1024
 class WarpedSpace:
     interval: tuple
     euclid_dim: int
-    warp_g: object
+    warp_g: ScalarC2
     torus: LatticeTorus | None = None
-    warp_f: object | None = None
+    warp_f: ScalarC2 | None = None
     singular_at_zero: bool = field(init=False, default=False)
 
     def __post_init__(self):
@@ -389,11 +389,9 @@ class _Discretization:
         de2 = np.einsum("ij,ij->i", de, de)
         dth2 = np.einsum("ij,ij->i", dth, dth)
         m = 0.5 * (r[:-1] + r[1:])
-        g = np.asarray(sp.g(m), dtype=float)
-        g1 = np.asarray(sp.g(m, 1), dtype=float)
+        g, g1 = sp.warp_g.jet(m, 1)
         if self.tdim:
-            f = np.asarray(sp.f(m), dtype=float)
-            f1 = np.asarray(sp.f(m, 1), dtype=float)
+            f, f1 = sp.warp_f.jet(m, 1)
         else:
             f = f1 = np.zeros_like(m)
         cost = dr * dr + g * g * de2 + f * f * dth2
@@ -434,9 +432,9 @@ class _Discretization:
         de = np.diff(chain[:, 1:1 + k], axis=0)
         dth = np.diff(chain[:, 1 + k:], axis=0)
         m = 0.5 * (r[:-1] + r[1:])
-        g, g1, g2 = (np.asarray(sp.g(m, o), dtype=float) for o in (0, 1, 2))
+        g, g1, g2 = sp.warp_g.jet(m, 2)
         if self.tdim:
-            f, f1, f2 = (np.asarray(sp.f(m, o), dtype=float) for o in (0, 1, 2))
+            f, f1, f2 = sp.warp_f.jet(m, 2)
         else:
             f = f1 = f2 = np.zeros_like(m)
         de2 = np.einsum("ij,ij->i", de, de)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import InterpolatedUnivariateSpline
+from scipy.linalg import solve_banded
 
 from .errors import (
     IntersectionOutsideError,
@@ -69,6 +69,11 @@ class DegenerateLinesError(SlopeOrderError):
     pass
 
 
+def _check_order(n):
+    if n not in (0, 1, 2):
+        raise ValidationError(f"order {n} not supported")
+
+
 class EllipseArc(ScalarC2):
     """Graph of the convex interpolant cut from an affine image of the unit
     circle centered at (1, 1).
@@ -76,6 +81,9 @@ class EllipseArc(ScalarC2):
     The affine map sends (0,1) and (1,0) to the two tangency points and the
     origin to the crossing of the tangent lines; the quarter with both
     preimage coordinates nonpositive is the graph branch used.
+
+    Evaluation is elementwise, with the 2x2 entries held as Python floats,
+    so a radius gets the same bits alone and inside any batch.
     """
 
     name = "ellipse_arc"
@@ -86,57 +94,54 @@ class EllipseArc(ScalarC2):
             raise ValidationError("affine_map must be 2x3")
         self.domain = (float(domain[0]), float(domain[1]))
         self.convexity_floor = float(convexity_floor)
-        self._L = self.affine_map[:, :2]
-        self._P = self.affine_map[:, 2]
-        self._N = np.linalg.inv(self._L)
-        # constant second partials of F(x, y) = |N (p - P) - (1,1)|^2 - 1
-        n0, n1 = self._N[:, 0], self._N[:, 1]
-        self._Fxx = 2.0 * float(n0 @ n0)
-        self._Fyy = 2.0 * float(n1 @ n1)
-        self._Fxy = 2.0 * float(n0 @ n1)
-
-    def _q(self, x, y):
-        """Preimage coordinates relative to the circle center."""
-        p = np.stack([np.asarray(x, dtype=float), np.asarray(y, dtype=float)], axis=-1)
-        return (p - self._P) @ self._N.T - 1.0
-
-    def _solve_y(self, x):
-        x = np.asarray(x, dtype=float)
-        n0, n1 = self._N[:, 0], self._N[:, 1]
-        base = -self._P @ self._N.T - 1.0
-        gx = np.multiply.outer(x, n0) + base  # q = gx + y * n1
-        a = float(n1 @ n1)
-        b = 2.0 * gx @ n1
-        c = np.einsum("...i,...i->...", gx, gx) - 1.0
-        disc = b * b - 4.0 * a * c
-        if np.any(disc < -1e-12):
-            raise OutOfDomainError("x outside the ellipse extent")
-        disc = np.maximum(disc, 0.0)
-        sq = np.sqrt(disc)
-        y1 = (-b + sq) / (2.0 * a)
-        y2 = (-b - sq) / (2.0 * a)
-        # branch whose circle preimage lies in the quarter with both
-        # coordinates <= 0 (between the two tangency points)
-        q1 = gx + np.multiply.outer(y1, n1)
-        q2 = gx + np.multiply.outer(y2, n1)
-        m1 = np.max(q1, axis=-1)
-        m2 = np.max(q2, axis=-1)
-        return np.where(m1 <= m2, y1, y2)
+        (n00, n01), (n10, n11) = np.linalg.inv(self.affine_map[:, :2]).tolist()
+        p0, p1 = self.affine_map[:, 2].tolist()
+        # preimage relative to the circle center: q = N (p - P) - (1, 1),
+        # written q = x * nx + y * ny + q0
+        self._nx = (n00, n10)
+        self._ny = (n01, n11)
+        self._q0 = (-(p0 * n00 + p1 * n01) - 1.0, -(p0 * n10 + p1 * n11) - 1.0)
+        # |q|^2 = 1 is a y^2 + b y + c = 0 with a = |ny|^2; the halved second
+        # partials of F(x, y) = |q|^2 - 1 are constant
+        self._a = n01 * n01 + n11 * n11
+        self._hxx = n00 * n00 + n10 * n10
+        self._hxy = n00 * n01 + n10 * n11
 
     def d(self, r, order=0):
-        r = np.asarray(r, dtype=float)
-        y = self._solve_y(r)
-        if order == 0:
-            return y
-        q = self._q(r, y)
-        Fx = 2.0 * q @ self._N[:, 0]
-        Fy = 2.0 * q @ self._N[:, 1]
-        yp = -Fx / Fy
-        if order == 1:
-            return yp
-        if order == 2:
-            return -(self._Fxx + 2.0 * self._Fxy * yp + self._Fyy * yp * yp) / Fy
-        raise ValidationError(f"order {order} not supported")
+        return self.jet(r, order)[order]
+
+    def jet(self, r, n=2):
+        _check_order(n)
+        x = np.asarray(r, dtype=float)
+        (ax, bx), (ay, by) = self._nx, self._ny
+        a = self._a
+        # q = (u + y * ay, v + y * by)
+        u = x * ax + self._q0[0]
+        v = x * bx + self._q0[1]
+        minus_b = -2.0 * (u * ay + v * by)
+        c = u * u + v * v - 1.0
+        disc = minus_b * minus_b - 4.0 * a * c
+        if np.any(disc < -1e-12):
+            raise OutOfDomainError("x outside the ellipse extent")
+        sq = np.sqrt(np.maximum(disc, 0.0))
+        y1 = (minus_b + sq) / (2.0 * a)
+        y2 = (minus_b - sq) / (2.0 * a)
+        # branch whose circle preimage lies in the quarter with both
+        # coordinates <= 0 (between the two tangency points)
+        qu1, qv1 = u + y1 * ay, v + y1 * by
+        qu2, qv2 = u + y2 * ay, v + y2 * by
+        first = np.maximum(qu1, qv1) <= np.maximum(qu2, qv2)
+        y = np.where(first, y1, y2)
+        if n == 0:
+            return [y]
+        qu = np.where(first, qu1, qu2)
+        qv = np.where(first, qv1, qv2)
+        # implicit derivatives of F(x, y) = 0, with F_x and F_y halved
+        fy = qu * ay + qv * by
+        yp = -(qu * ax + qv * bx) / fy
+        if n == 1:
+            return [y, yp]
+        return [y, yp, -(self._hxx + 2.0 * self._hxy * yp + a * yp * yp) / fy]
 
 
 def interpolate_tangent(l1: Line, l2: Line, A: float, B: float) -> EllipseArc:
@@ -158,23 +163,130 @@ def interpolate_tangent(l1: Line, l2: Line, A: float, B: float) -> EllipseArc:
 
     # tangency sanity at construction time
     for x0, line in ((A, l1), (B, l2)):
-        if abs(float(arc.d(x0, 0)) - float(line(x0))) > CONSTRUCTION_TOL:
+        value, slope = (float(v) for v in arc.jet(x0, 1))
+        if abs(value - float(line(x0))) > CONSTRUCTION_TOL:
             raise ValidationError("ellipse arc endpoint value mismatch")
-        if abs(float(arc.d(x0, 1)) - line.slope) > CONSTRUCTION_TOL:
+        if abs(slope - line.slope) > CONSTRUCTION_TOL:
             raise ValidationError("ellipse arc endpoint slope mismatch")
 
     # convexity floor from the exact second derivative sampled on a 1e-3 grid
     n = max(int(round((B - A) / 1e-3)), 1000)
     xs = np.linspace(A, B, n + 1)
-    floor = 0.9 * float(arc.d(xs, 2).min())
+    _, slopes, second = arc.jet(xs, 2)
+    floor = 0.9 * float(second.min())
     if floor <= 0:
         raise ValidationError("interpolant not strictly convex")
     # monotone single-valued graph over the domain
-    slopes = arc.d(xs, 1)
     if not (slopes.min() >= l1.slope - 1e-9 and slopes.max() <= l2.slope + 1e-9):
         raise ValidationError("arc slopes leave the tangent range")
     arc.convexity_floor = floor
     return arc
+
+
+@dataclass(frozen=True)
+class PiecewisePoly:
+    """A piecewise polynomial on ``breaks``: on [breaks[i], breaks[i + 1]]
+    it is sum_j coeffs[i, j] * (x - breaks[i])^(deg - j), highest power
+    first.  Trailing axes of ``coeffs`` beyond the second make it
+    vector-valued.  Points outside the breaks use the end pieces."""
+
+    breaks: np.ndarray
+    coeffs: np.ndarray
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        # the interior breaks alone pick the piece, so the end pieces extend
+        i = np.searchsorted(self.breaks[1:-1], x, side="right")
+        return self._horner(i, x - self.breaks[i])
+
+    def _horner(self, i, h):
+        """The pieces i at offsets h from their left breaks."""
+        c = self.coeffs[i]
+        if np.ndim(i):
+            c = c.swapaxes(0, 1)  # powers first
+        h = np.reshape(h, np.shape(h) + (1,) * (self.coeffs.ndim - 2))
+        y = c[0]
+        for cj in c[1:]:
+            y = y * h + cj
+        return y
+
+    def antiderivative(self, start=0.0):
+        """The antiderivative equal to ``start`` at breaks[0]; each piece's
+        constant term carries the integral over the pieces to its left."""
+        m, terms = self.coeffs.shape[:2]
+        powers = np.arange(terms, 0, -1).reshape((terms,) + (1,) * (self.coeffs.ndim - 2))
+        c = np.zeros((m, terms + 1) + self.coeffs.shape[2:])
+        c[:, :-1] = self.coeffs / powers
+        whole = PiecewisePoly(self.breaks, c)._horner(np.arange(m), np.diff(self.breaks))
+        c[:, -1] = start
+        c[1:, -1] += np.cumsum(whole[:-1], axis=0)
+        return PiecewisePoly(self.breaks, c)
+
+
+def _bspline_basis(t, mu, x, k):
+    """Cox-de Boor recursion at points x with t[mu] <= x <= t[mu + 1]: for
+    q = 0..k, the values of the degree-q B-splines B_{mu-q}, ..., B_mu at x,
+    as a (len(x), q + 1) array."""
+    out = [np.ones((x.size, 1))]
+    steps = np.arange(1, k + 1)
+    left = x[:, None] - t[mu[:, None] + 1 - steps]     # left[:, j-1] = x - t[mu+1-j]
+    right = t[mu[:, None] + steps] - x[:, None]        # right[:, j-1] = t[mu+j] - x
+    for j in range(1, k + 1):
+        prev, cur = out[-1], np.empty((x.size, j + 1))
+        saved = 0.0
+        for r in range(j):
+            temp = prev[:, r] / (right[:, r] + left[:, j - r - 1])
+            cur[:, r] = saved + right[:, r] * temp
+            saved = left[:, j - r - 1] * temp
+        cur[:, j] = saved
+        out.append(cur)
+    return out
+
+
+def quintic_interpolant(x, y) -> PiecewisePoly:
+    """The not-a-knot quintic interpolant of (x, y) as a piecewise
+    polynomial.
+
+    This is the interpolating spline of FITPACK at ``k = 5, s = 0``: knots
+    x[3:-3] with six-fold end knots, B-spline coefficients from the banded
+    collocation system (solved for every column of a 2-D ``y`` at once), then
+    each piece's Taylor coefficients about its left break from the
+    derivative B-spline coefficients.
+    """
+    k = 5
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = x.size
+    if n < k + 1 or y.shape[0] != n or np.any(np.diff(x) <= 0):
+        raise ValidationError("need at least 6 increasing abscissae, one value each")
+    t = np.concatenate((np.full(k + 1, x[0]), x[3:-3], np.full(k + 1, x[-1])))
+
+    # collocation: row i holds B_{mu-5..mu}(x_i), mu the knot interval of x_i
+    mu = np.clip(np.searchsorted(t, x, side="right") - 1, k, n - 1)
+    cols = mu[:, None] - k + np.arange(k + 1)
+    offset = cols - np.arange(n)[:, None]
+    lower, upper = int(-offset.min()), int(offset.max())
+    ab = np.zeros((lower + upper + 1, n))
+    ab[upper - offset, cols] = _bspline_basis(t, mu, x, k)[k]
+    coef = solve_banded((lower, upper), ab, y)
+
+    # derivative d at each left break: the degree k-d spline with coefficients
+    # (k-d+1) * (c_j - c_{j-1}) / (t_{j+k-d+1} - t_j), valid for j >= d
+    breaks = t[k:n + 1]
+    mu = np.arange(k, n)
+    basis = _bspline_basis(t, mu, breaks[:-1], k)
+    taylor = np.empty((n - k, k + 1) + y.shape[1:])
+    shape = (-1,) + (1,) * (y.ndim - 1)
+    for d in range(k + 1):
+        q = k - d
+        if d:
+            j = np.arange(d, n)
+            step = np.zeros_like(coef)
+            step[d:] = (q + 1) * (coef[d:] - coef[d - 1:-1]) / (t[j + q + 1] - t[j]).reshape(shape)
+            coef = step
+        val = np.einsum("ir,ir...->i...", basis[q], coef[mu[:, None] - q + np.arange(q + 1)])
+        taylor[:, q] = val / math.factorial(d)
+    return PiecewisePoly(breaks, taylor)
 
 
 class SplicePiece(ScalarC2):
@@ -184,7 +296,9 @@ class SplicePiece(ScalarC2):
     full smooth contact at both ends.  The second derivative is
     b'' + w * (c - b)'' for a smooth weight w ramping 0 -> 1 in a short window
     next to R, plus two small interior bumps solving the exact value/slope
-    matching constraints at R.
+    matching constraints at R.  Inside the window the second derivative is a
+    piecewise quintic and the slope and value are its exact antiderivatives,
+    all three on the same breaks and evaluated together.
     """
 
     name = "mollified_splice"
@@ -209,35 +323,29 @@ class SplicePiece(ScalarC2):
         lo, R, eps = self.lo, self.R, self.eps
         m_band, M_band = self._band()
         band_width = M_band - m_band
+        bl0, bl1 = (float(v) for v in self.b.jet(lo, 1))
+        c_R = self.c.jet(R, 1)
+        t1 = float(c_R[1]) - bl1
+        t2 = float(c_R[0]) - bl0 - eps * bl1
 
         mu = 0.03
         for _ in range(9):
             n = max(4001, int(80 / mu) | 1)
             u = np.linspace(0.0, 1.0, n)
             r = lo + eps * u
-            d2 = self.c.d(r, 2) - self.b.d(r, 2)
             b2 = self.b.d(r, 2)
+            d2 = self.c.d(r, 2) - b2
             w0 = smoothstep((u - (1.0 - mu)) / mu)
             p1 = smooth_bump(u, 0.12, 0.46)
             p2 = smooth_bump(u, 0.52, 0.86)
 
-            sp_a0 = InterpolatedUnivariateSpline(r, b2 + w0 * d2, k=5)
-            sp_b1 = InterpolatedUnivariateSpline(r, p1 * d2, k=5)
-            sp_b2 = InterpolatedUnivariateSpline(r, p2 * d2, k=5)
-
-            bl0 = float(self.b.d(lo, 0))
-            bl1 = float(self.b.d(lo, 1))
-            t1 = float(self.c.d(R, 1)) - bl1
-            t2 = float(self.c.d(R, 0)) - bl0 - eps * bl1
-
-            def i1(sp):
-                return float(sp.antiderivative(1)(R))
-
-            def i2(sp):
-                return float(sp.antiderivative(2)(R))
-
-            mat = np.array([[i1(sp_b1), i1(sp_b2)], [i2(sp_b1), i2(sp_b2)]])
-            rhs = np.array([t1 - i1(sp_a0), t2 - i2(sp_a0)])
+            # one interpolant per column: a0 = b'' + w0 d'', and the two bumps
+            spl = quintic_interpolant(r, np.column_stack((b2 + w0 * d2, p1 * d2, p2 * d2)))
+            s1 = spl.antiderivative()
+            i1 = s1(R)
+            i2 = s1.antiderivative()(R)
+            mat = np.array([[i1[1], i1[2]], [i2[1], i2[2]]])
+            rhs = np.array([t1 - i1[0], t2 - i2[0]])
             try:
                 alpha, beta = np.linalg.solve(mat, rhs)
             except np.linalg.LinAlgError:
@@ -253,33 +361,37 @@ class SplicePiece(ScalarC2):
                 break
             mu *= 0.5
 
-        self._spline_a2 = InterpolatedUnivariateSpline(r, A, k=5)
-        self._s1 = self._spline_a2.antiderivative(1)
-        self._s2 = self._spline_a2.antiderivative(2)
-        self._bl0, self._bl1 = bl0, bl1
+        # interpolation is linear in the data: A's quintic is a0 + alpha b1 + beta b2
+        a2 = PiecewisePoly(spl.breaks, spl.coeffs @ np.array([1.0, alpha, beta]))
+        a1 = a2.antiderivative(bl1)
+        a0 = a1.antiderivative(bl0)
+        # the value, slope and second derivative as one vector-valued
+        # polynomial; the leading zeros leave each Horner result unchanged
+        stacked = np.zeros(a0.coeffs.shape + (3,))
+        for order, poly in enumerate((a0, a1, a2)):
+            stacked[:, order:, order] = poly.coeffs
+        self._jet = PiecewisePoly(spl.breaks, stacked)
 
     def d(self, r, order=0):
-        if order not in (0, 1, 2):
-            raise ValidationError(f"order {order} not supported")
+        return self.jet(r, order)[order]
+
+    def jet(self, r, n=2):
+        _check_order(n)
         r = np.asarray(r, dtype=float)
         if self.trivial:
-            return self.b.d(r, order)
-        out = np.empty_like(r)
+            return self.b.jet(r, n)
+        out = [np.empty_like(r) for _ in range(n + 1)]
         left = r < self.lo
         right = r > self.R
         mid = ~(left | right)
-        if left.any():
-            out[left] = self.b.d(r[left], order)
-        if right.any():
-            out[right] = self.c.d(r[right], order)
+        for mask, fn in ((left, self.b), (right, self.c)):
+            if mask.any():
+                for o, v in zip(out, fn.jet(r[mask], n)):
+                    o[mask] = v
         if mid.any():
-            rm = r[mid]
-            if order == 0:
-                out[mid] = self._bl0 + self._bl1 * (rm - self.lo) + self._s2(rm)
-            elif order == 1:
-                out[mid] = self._bl1 + self._s1(rm)
-            else:
-                out[mid] = self._spline_a2(rm)
+            vals = self._jet(r[mid])
+            for order, o in enumerate(out):
+                o[mid] = vals[:, order]
         return out
 
 
@@ -312,7 +424,7 @@ class Piece:
 
 
 @dataclass
-class SmoothWarpFunction:
+class SmoothWarpFunction(ScalarC2):
     """Piecewise-defined warp function on [knots[0], knots[-1]].
 
     Pieces tile the interval; value and slope agree at interior knots.
@@ -341,11 +453,6 @@ class SmoothWarpFunction:
     def domain(self):
         return (self.knots[0], self.knots[-1])
 
-    def _piece_index(self, r, side="right"):
-        side_flag = "left" if side == "left" else "right"
-        idx = np.searchsorted(self._edges, r, side=side_flag)
-        return np.clip(idx, 0, len(self.pieces) - 1)
-
     def eval(self, r, order=0, side="right"):
         lo, hi = self.domain
         rr = np.asarray(r, dtype=float)
@@ -354,19 +461,26 @@ class SmoothWarpFunction:
         return self.d(rr, order, side=side) if rr.ndim else float(self.d(rr, order, side=side))
 
     def d(self, r, order=0, side="right"):
+        return self.jet(r, order, side=side)[order]
+
+    def jet(self, r, n=2, side="right"):
+        """[d(r, 0), ..., d(r, n)] from one dispatch of the radii over the
+        pieces; at a knot, ``side`` picks the piece on that side."""
+        _check_order(n)
         r = np.asarray(r, dtype=float)
         scalar = r.ndim == 0
         r = np.atleast_1d(r)
-        idx = self._piece_index(r, side=side)
-        out = np.empty_like(r)
-        for i, piece in enumerate(self.pieces):
-            mask = idx == i
-            if mask.any():
-                out[mask] = piece.fn.d(r[mask], order)
-        return out[0] if scalar else out
-
-    def __call__(self, r):
-        return self.d(r, 0)
+        idx = np.searchsorted(self._edges, r, side="left" if side == "left" else "right")
+        if r.size and (idx == idx.flat[0]).all():
+            out = self.pieces[idx.flat[0]].fn.jet(r, n)
+        else:
+            out = [np.empty_like(r) for _ in range(n + 1)]
+            for i, piece in enumerate(self.pieces):
+                mask = idx == i
+                if mask.any():
+                    for o, v in zip(out, piece.fn.jet(r[mask], n)):
+                        o[mask] = v
+        return [o[0] for o in out] if scalar else out
 
     # -- serialization ----------------------------------------------------
     def to_json_dict(self):

@@ -207,6 +207,13 @@ class TestTwoPiCheck:
         with pytest.raises(ValidationError):
             CuspSpec(lat, coeffs)
 
+    @pytest.mark.parametrize("coeffs", [[[2**70, 1]], [[2**63, 1]], [[1e30, 1.0]],
+                                        np.array([[2**64 - 1, 1]], dtype=np.uint64)])
+    def test_coefficients_beyond_int64_rejected(self, coeffs):
+        lat = LatticeTorus(np.eye(2) * 7.0)
+        with pytest.raises(ValidationError, match="do not fit in int64"):
+            CuspSpec(lat, coeffs)
+
     def test_integral_floats_accepted(self):
         cusp = CuspSpec(LatticeTorus(np.eye(2) * 7.0), [[1.0, 0.0]])
         assert cusp.filling_coeffs.dtype.kind == "i"

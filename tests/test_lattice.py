@@ -106,12 +106,22 @@ class TestElementaryDivisors:
         assert elementary_divisors([[big, 0], [0, big + 1]]) == [1, big * (big + 1)]
 
 
-def test_import_does_not_load_sympy():
+def _loaded_after_import(module):
+    """Whether ``import warpfill, warpfill.cli`` in a fresh interpreter
+    loads ``module``."""
     env = dict(os.environ)
     src = str(Path(warpfill.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    code = "import sys, warpfill, warpfill.cli; print('sympy' in sys.modules)"
+    code = f"import sys, warpfill, warpfill.cli; print({module!r} in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip() == "True"
+
+
+def test_import_does_not_load_sympy():
+    assert not _loaded_after_import("sympy")
+
+
+def test_import_does_not_load_scipy_interpolate():
+    assert not _loaded_after_import("scipy.interpolate")

@@ -249,6 +249,16 @@ class TestTorus:
         T = LatticeTorus(np.array([[7.0, 0.0, 0.0], [30.0, 0.3, 0.0], [2.0, 5.0, 7.5]]))
         assert torus_systole(T) == pytest.approx(1.3453624047, abs=1e-9)
 
+    def test_small_scale_basis_accepted(self):
+        T = LatticeTorus(np.eye(3) * 1e-5)
+        assert torus_systole(T) == pytest.approx(1e-5, rel=1e-12)
+
+    def test_nearly_dependent_basis_rejected(self):
+        # singular values 1.414 and 7.07e-14: below SINGULAR_RTOL = 1e-12
+        with pytest.raises(ValidationError, match="basis is singular"):
+            LatticeTorus(np.array([[1.0, 0.0], [1.0, 1e-13]]))
+        assert LatticeTorus(np.array([[1.0, 0.0], [1.0, 1e-11]])).dim == 2
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_basis_rejected(self, bad):
         with pytest.raises(ValidationError, match="non-finite"):

@@ -39,3 +39,18 @@ def test_filling_survey_runs():
     proc = run_script("filling_survey.py", "--n-max", "3")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_geodesic_digest_is_one_stable_line_per_seed():
+    proc = run_script("geodesic_digest.py", "--workload", "h2_geodesics", "--seeds", "5-6")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    assert [line.split()[:8] for line in lines] == [
+        ["h2_geodesics", "seed", str(seed), "rounds", "1", "ops", "10", "failed"] for seed in (5, 6)
+    ]
+    assert all(line.split()[8] == "0" and len(line.split()[-1]) == 64 for line in lines)
+    again = run_script("geodesic_digest.py", "--workload", "h2_geodesics", "--seeds", "6")
+    assert again.returncode == 0, again.stderr
+    assert again.stdout.strip() == lines[1]
+    bad = run_script("geodesic_digest.py", "--workload", "h2_geodesics", "--seeds", "9-3")
+    assert bad.returncode == 2

@@ -12,7 +12,8 @@ from warpfill.errors import (
     SlopeOrderError,
     ValidationError,
 )
-from warpfill.numerics import Cosh, ExpShift, Sinh, as_scalar_c2
+from warpfill.numerics import ANALYTIC_REGISTRY, Cosh, ExpShift, Sinh, as_scalar_c2
+from warpfill.warp_engine import WarpedSpace
 from warpfill.warp_functions import (
     CONSTRUCTION_TOL,
     KNOT_TOL,
@@ -22,6 +23,7 @@ from warpfill.warp_functions import (
     build_fg,
     interpolate_tangent,
     line_intersection_x,
+    quintic_interpolant,
 )
 
 B = 1.8  # 1 + lambda/2 for lambda = 1.6
@@ -154,6 +156,75 @@ class TestSpliceDerivatives:
     def test_plain_callable_rejected(self):
         with pytest.raises(TypeError):
             as_scalar_c2(lambda r: r)
+
+    def test_duck_typed_warp_rejected(self, fg_pair):
+        class OnlyD:
+            def d(self, r, order=0):
+                return np.ones_like(np.asarray(r, dtype=float))
+
+        with pytest.raises(TypeError):
+            as_scalar_c2(OnlyD())
+        with pytest.raises(TypeError):
+            WarpedSpace(interval=(0.0, 1.0), euclid_dim=1, warp_g=OnlyD())
+        assert as_scalar_c2(fg_pair["g"]) is fg_pair["g"]
+
+    def test_quintic_matches_fitpack(self, fg_pair):
+        # FITPACK is the reference only: the package never imports it
+        from scipy.interpolate import InterpolatedUnivariateSpline
+
+        for sp in _splices(fg_pair):
+            x = np.linspace(sp.lo, sp.R, 4001)
+            y = sp.d(x, 2)
+            ours = quintic_interpolant(x, y)
+            ref = InterpolatedUnivariateSpline(x, y, k=5)
+            probe = np.concatenate((x, np.random.default_rng(5).uniform(sp.lo, sp.R, 20_000)))
+            np.testing.assert_allclose(ours(probe), ref(probe), rtol=1e-13, atol=0)
+            ours1 = ours.antiderivative()
+            for ours_k, k in ((ours1, 1), (ours1.antiderivative(), 2)):
+                assert np.max(np.abs(ours_k(probe) - ref.antiderivative(k)(probe))) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# the jet: all orders from one evaluation
+# ---------------------------------------------------------------------------
+
+def _jet_cases(fg_pair):
+    """(function, radii) for both built warps, each of their pieces, a
+    trivial splice and every analytic warp."""
+    for w in (fg_pair["f"], fg_pair["g"]):
+        yield w, np.linspace(*w.domain, 4001)
+        for piece in w.pieces:
+            yield piece.fn, np.linspace(piece.lo, piece.hi, 257)
+    yield agol_smooth(Sinh(), Sinh(), 0.5, 0.01), np.linspace(0.48, 0.5, 33)
+    for cls in ANALYTIC_REGISTRY.values():
+        yield cls(), np.linspace(0.1, 2.0, 33)
+
+
+class TestJet:
+    def test_jet_orders_equal_d(self, fg_pair):
+        for fn, r in _jet_cases(fg_pair):
+            for n in (0, 1, 2):
+                jet = fn.jet(r, n)
+                assert len(jet) == n + 1
+                for order in range(n + 1):
+                    assert np.array_equal(jet[order], fn.d(r, order)), (fn, n, order)
+
+    def test_single_radius_matches_batch(self, fg_pair):
+        r = np.linspace(0.05, 2.55, 4001)
+        for w in (fg_pair["f"], fg_pair["g"]):
+            batch = np.stack(w.jet(r, 2), axis=1)
+            single = np.array([w.jet(x, 2) for x in r])
+            assert np.array_equal(batch, single)
+
+    def test_scalar_jet(self, fg_pair):
+        g = fg_pair["g"]
+        jet = g.jet(1.0, 2)
+        assert all(np.ndim(v) == 0 for v in jet)
+        assert [float(v) for v in jet] == [float(g.d(1.0, o)) for o in range(3)]
+
+    def test_third_order_rejected(self, fg_pair):
+        with pytest.raises(ValidationError):
+            fg_pair["f"].jet(0.5, 3)
 
 
 # ---------------------------------------------------------------------------
