@@ -6,9 +6,10 @@
 For every seed, rebuilds the inputs of rounds 0..N-1 of a geodesic workload
 with ``perfbench/workloads.round_inputs``, solves each pair as
 ``workloads.Context.run`` does, and prints one line: the seed, the count of
-operations, the count that fail ``checks.check_geodesic`` (or raise), and a
-sha256 over every result's distance, iteration count and path vertices,
-each float written with ``float.hex``.  Two checkouts whose solver numerics
+operations, the count that fail ``checks.check_geodesic`` (or raise), which
+ones fail as round:index (``-`` for none), and a sha256 over every result's
+distance, iteration count and path vertices, each float written with
+``float.hex``.  Two checkouts whose solver numerics
 agree print the same lines, so running this with PYTHONPATH set to each
 checkout's ``src`` shows whether a change moved them.  warpfill is imported
 from PYTHONPATH; the workload definitions come from this checkout.
@@ -47,11 +48,13 @@ def result_fields(result):
 
 
 def digest_seed(ctx, workload, seed, rounds):
-    """(operations, failed, sha256 hex) over rounds 0..rounds-1 of ``seed``."""
+    """(operations, failing "round:index" labels, sha256 hex) over rounds
+    0..rounds-1 of ``seed``."""
     sha = hashlib.sha256()
-    ops = failed = 0
+    ops = 0
+    failing = []
     for k in range(rounds):
-        for op in workloads.round_inputs(workload, seed, k):
+        for i, op in enumerate(workloads.round_inputs(workload, seed, k)):
             args = ctx.prepare(op)
             ops += 1
             try:
@@ -59,12 +62,13 @@ def digest_seed(ctx, workload, seed, rounds):
             except Exception as exc:  # counted as failed, as the benchmark does
                 traceback.print_exc(file=sys.stderr)
                 sha.update(f"raised {type(exc).__name__}\n".encode())
-                failed += 1
-                continue
-            sha.update(result_fields(result).encode() + b"\n")
-            ok, _ = ctx.check(op, args, result, [])
-            failed += not ok
-    return ops, failed, sha.hexdigest()
+                ok = False
+            else:
+                sha.update(result_fields(result).encode() + b"\n")
+                ok, _ = ctx.check(op, args, result, [])
+            if not ok:
+                failing.append(f"{k}:{i}")
+    return ops, failing, sha.hexdigest()
 
 
 def main(argv=None):
@@ -78,8 +82,9 @@ def main(argv=None):
 
     ctx = workloads.Context()
     for seed in args.seeds:
-        ops, failed, hexdigest = digest_seed(ctx, args.workload, seed, args.rounds)
-        print(f"{args.workload} seed {seed} rounds {args.rounds} ops {ops} failed {failed} sha256 {hexdigest}")
+        ops, failing, hexdigest = digest_seed(ctx, args.workload, seed, args.rounds)
+        print(f"{args.workload} seed {seed} rounds {args.rounds} ops {ops} failed {len(failing)} "
+              f"at {','.join(failing) or '-'} sha256 {hexdigest}")
     return 0
 
 

@@ -5,10 +5,10 @@ chart-straight segments by adaptive Gauss-Legendre quadrature, batched so that
 all segments of a path are measured in one pass, with only the panels whose
 error test fails bisected, round by round.  Geodesics are found
 variationally, by minimizing the discrete energy of a polyline over interior vertex coordinates (damped
-Newton on the exact block-tridiagonal Hessian, solved in banded form), with an
-outer search over deck shifts of the torus factor and, for singular spaces,
-over paths that pass through the collapsed core {f = 0} where the torus
-coordinate can jump for free.
+Newton on the exact block-tridiagonal Hessian, solved in banded form).  The
+torus factor contributes one candidate, in the deck class of the closest
+lattice vector, and singular spaces a second one that passes through the
+collapsed core {f = 0}, where the torus coordinate can jump for free.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from .errors import (
     SolverFailureError,
     ValidationError,
 )
-from .model_spaces import LatticeTorus
+from .lattice import closest_vector
+from .model_spaces import LatticeTorus, torus_distance
 from .numerics import ANALYTIC_REGISTRY, ScalarC2, adaptive_gauss, as_scalar_c2
 from .warp_functions import SmoothWarpFunction
 
@@ -142,8 +143,6 @@ class WarpedSpace:
         # theta is ignored where the fiber collapses
         if self.singular_at_zero and abs(p.r - self.r_min) <= tol:
             return True
-        from .model_spaces import torus_distance
-
         return torus_distance(self.torus, p.theta, q.theta) <= tol
 
 
@@ -603,18 +602,18 @@ def solve_geodesic(
     n_segments: int = 64,
     seed: int = 0,
     refine_tol: float = REFINE_TOL,
-    shift_radius: int = 1,
 ) -> GeodesicResult:
     """Shortest path between p and q by discrete energy minimization.
 
     Inner loop: damped projected Newton with the exact banded Hessian over
     interior vertex coordinates of a polyline in cover coordinates (r
     box-constrained to the interval), stopped when the projected gradient
-    falls below ``GRAD_TOL``.  Outer loop: deck shifts in a coefficient box
-    of radius ``shift_radius`` around the rounded chart difference, plus (in
-    singular spaces) candidates passing through the core with a free torus
-    jump there.  The winner is refined by segment doubling until the
-    distance stabilizes below ``refine_tol``.
+    falls below ``GRAD_TOL``.  Outer loop: one direct candidate, in the deck
+    class whose cover difference theta_q + v - theta_p is shortest (v the
+    lattice vector closest to theta_p - theta_q), plus, in singular spaces,
+    one candidate passing through the core with a free torus jump there.
+    Each candidate is refined by segment doubling until its length
+    stabilizes below ``refine_tol``, and the shorter final path wins.
 
     ``iterations`` in the result counts Newton steps, summed over all
     candidates and refinement levels.  ``converged`` is False when the final
@@ -632,26 +631,18 @@ def solve_geodesic(
         path = PolylinePath((p, q), (np.zeros(tdim, dtype=int),))
         return GeodesicResult(0.0, path, True, 0, 0.0)
 
-    candidates = []  # (disc, xflat)
-    pc = _cover_coords(p)
+    qc = _cover_coords(q)
     if tdim:
-        base = np.rint(np.linalg.solve(space.torus.basis.T, p.theta - q.theta)).astype(int)
-        import itertools as _it
-
-        offsets = _it.product(range(-shift_radius, shift_radius + 1), repeat=tdim)
-        shift_list = [base + np.asarray(o, dtype=int) for o in offsets]
-    else:
-        shift_list = [np.zeros(0, dtype=int)]
-
-    for shift in shift_list:
-        qt = q.theta + (space.torus.shift_vector(shift) if tdim else 0.0)
-        qc = (q.r, q.e.copy(), np.atleast_1d(qt) if tdim else q.theta.copy())
-        candidates.append(_Discretization(space, pc, qc, n_segments))
-
+        # No other deck class is shorter: with u_s the cover difference of
+        # class s and u* the shortest, theta -> theta_p + (u* u_s^T /
+        # |u_s|^2)(theta - theta_p) has norm <= 1 and fixes r and e, so it
+        # maps any class-s path, core jumps included, to a no longer one.
+        qc = (q.r, q.e.copy(), q.theta + closest_vector(space.torus.basis, p.theta - q.theta))
+    candidates = [_Discretization(space, _cover_coords(p), qc, n_segments)]
     if space.singular_at_zero and tdim:
         candidates.append(_through_core(space, p, q, n_segments))
 
-    best = None  # (length, disc, xflat, gnorm)
+    best = None  # (distance, path, gnorm)
     total_iters = 0
     capped = False  # some solve stopped at the iteration cap above GRAD_TOL
     for disc in candidates:
@@ -659,24 +650,26 @@ def solve_geodesic(
         total_iters += nit
         capped |= cut
         length = disc.chain_length(x)
-        if best is None or length < best[0]:
-            best = (length, disc, x, gnorm)
+        # refine until the distance stabilizes
+        while 2 * disc.n <= MAX_SEGMENTS:
+            x0, disc2 = _refine(x, disc)
+            x2, gnorm2, nit, cut = _optimize_chain(disc2, rng, x0=x0)
+            total_iters += nit
+            capped |= cut
+            length2 = disc2.chain_length(x2)
+            done = abs(length2 - length) < refine_tol
+            disc, x, gnorm, length = disc2, x2, gnorm2, length2
+            if done:
+                break
+        # no path is shorter than the distance, so the shorter refined
+        # candidate is never the worse answer; a coarse chain can rank them
+        # the wrong way round
+        path = _chain_to_path(space, disc.full_chain(x), k)
+        dist = path_length(space, path)
+        if best is None or dist < best[0]:
+            best = (dist, path, gnorm)
 
-    length, disc, x, gnorm = best
-    # refine the winner until the distance stabilizes
-    while 2 * disc.n <= MAX_SEGMENTS:
-        x0, disc2 = _refine(x, disc)
-        x2, gnorm2, nit, cut = _optimize_chain(disc2, rng, x0=x0)
-        total_iters += nit
-        capped |= cut
-        length2 = disc2.chain_length(x2)
-        done = abs(length2 - length) < refine_tol
-        disc, x, gnorm, length = disc2, x2, gnorm2, length2
-        if done:
-            break
-
-    path = _chain_to_path(space, disc.full_chain(x), k)
-    dist = path_length(space, path)
+    dist, path, gnorm = best
     # Newton stops at GRAD_TOL, or earlier where the energy decrease falls to
     # its rounding level on fine chains.  A solve cut off by the iteration cap
     # leaves the candidate choice or the level-to-level stopping estimate
@@ -726,7 +719,6 @@ def alexandrov_angle(
     n_segments: int = 64,
     seed: int = 0,
     refine_tol: float = 1e-6,
-    shift_radius: int = 1,
 ):
     """Upper angle at p between [p,q1] and [p,q2], by Euclidean comparison
     angles at shrinking scales plus one-step Richardson extrapolation.
@@ -738,8 +730,8 @@ def alexandrov_angle(
     """
     if space.points_equal(p, q1) or space.points_equal(p, q2):
         raise ValidationError("q1, q2 must differ from p")
-    g1 = solve_geodesic(space, p, q1, n_segments, seed, refine_tol=refine_tol, shift_radius=shift_radius)
-    g2 = solve_geodesic(space, p, q2, n_segments, seed, refine_tol=refine_tol, shift_radius=shift_radius)
+    g1 = solve_geodesic(space, p, q1, n_segments, seed, refine_tol=refine_tol)
+    g2 = solve_geodesic(space, p, q2, n_segments, seed, refine_tol=refine_tol)
     if max(g1.residual, g2.residual) > 1e-6:
         raise SolverFailureError("leg geodesics did not converge")
     tmax = min(g1.distance, g2.distance)
@@ -750,9 +742,7 @@ def alexandrov_angle(
             continue
         x1 = path_point_at_arclength(space, g1.path, t)
         x2 = path_point_at_arclength(space, g2.path, t)
-        d = solve_geodesic(
-            space, x1, x2, n_segments, seed, refine_tol=refine_tol, shift_radius=shift_radius
-        ).distance
+        d = solve_geodesic(space, x1, x2, n_segments, seed, refine_tol=refine_tol).distance
         cosang = (2.0 * t * t - d * d) / (2.0 * t * t)
         angles.append(float(np.arccos(np.clip(cosang, -1.0, 1.0))))
         used.append(t)
@@ -769,15 +759,14 @@ def alexandrov_angle(
 
 
 def log_map(space: WarpedSpace, p: WPoint, x: WPoint, n_segments: int = 64, seed: int = 0,
-            refine_tol: float = REFINE_TOL, shift_radius: int = 1):
+            refine_tol: float = REFINE_TOL):
     """(radius, direction) of x seen from p.
 
     At a singular p the direction is the join coordinate (phi, alpha, theta)
     of Lemma-style direction space; at a Riemannian p it is the initial unit
     chart tangent of the solver polyline.
     """
-    res = solve_geodesic(space, p, x, n_segments, seed, refine_tol=refine_tol,
-                         shift_radius=shift_radius)
+    res = solve_geodesic(space, p, x, n_segments, seed, refine_tol=refine_tol)
     if res.distance <= 1e-14:
         return (0.0, None)
     if space.singular_at_zero and abs(p.r - space.r_min) <= 1e-12:

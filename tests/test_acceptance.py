@@ -108,7 +108,7 @@ def test_criterion_3_direction_formula(singular_model):
             expected = np.arctan2(np.tanh(t1), np.sinh(a1))
             measured = alexandrov_angle(
                 singular_model, p0, WPoint(t1, [a1], [0.0]), core,
-                n_segments=16, refine_tol=1e-5, shift_radius=0,
+                n_segments=16, refine_tol=1e-5,
             )
             worst = max(worst, abs(measured - expected))
     report(3, worst < 1e-2, f"5x5 grid, max |angle - arctan formula| = {worst:.2e}",

@@ -48,9 +48,14 @@ def test_geodesic_digest_is_one_stable_line_per_seed():
     assert [line.split()[:8] for line in lines] == [
         ["h2_geodesics", "seed", str(seed), "rounds", "1", "ops", "10", "failed"] for seed in (5, 6)
     ]
-    assert all(line.split()[8] == "0" and len(line.split()[-1]) == 64 for line in lines)
+    assert all(line.split()[8:11] == ["0", "at", "-"] and len(line.split()[-1]) == 64 for line in lines)
     again = run_script("geodesic_digest.py", "--workload", "h2_geodesics", "--seeds", "6")
     assert again.returncode == 0, again.stderr
     assert again.stdout.strip() == lines[1]
     bad = run_script("geodesic_digest.py", "--workload", "h2_geodesics", "--seeds", "9-3")
     assert bad.returncode == 2
+    # core_geodesics ends every round with its kept-fault pairs; the second
+    # one, with its shortest route through the core, still fails
+    core = run_script("geodesic_digest.py", "--workload", "core_geodesics", "--seeds", "5", "--rounds", "2")
+    assert core.returncode == 0, core.stderr
+    assert core.stdout.split()[5:11] == ["ops", "24", "failed", "2", "at", "0:11,1:11"]
