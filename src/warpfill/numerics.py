@@ -9,15 +9,15 @@ import numpy as np
 class ScalarC2:
     """A real function of one real variable with derivatives up to order 2.
 
-    Subclasses implement ``d(r, order)`` vectorized over numpy arrays;
-    ``jet(r, n)`` returns the orders 0..n together, and subclasses that can
-    share work between the orders override it.  Entries of a jet may share
-    memory (sinh is its own second derivative), so callers do not write
-    into them.
+    Subclasses override ``d(r, order)`` or ``jet(r, n)``, vectorized over
+    numpy arrays; each defaults to the other.  ``jet`` returns the orders
+    0..n together, so subclasses that can share work between the orders
+    override it.  Entries of a jet may share memory (sinh is its own second
+    derivative), so callers do not write into them.
     """
 
     def d(self, r, order=0):
-        raise NotImplementedError
+        return self.jet(r, order)[order]
 
     def jet(self, r, n=2):
         """[d(r, 0), ..., d(r, n)]."""

@@ -3,12 +3,13 @@
 Path lengths are exact: the speed of a polyline is integrated along its
 chart-straight segments by adaptive Gauss-Legendre quadrature, batched so that
 all segments of a path are measured in one pass, with only the panels whose
-error test fails bisected, round by round.  Geodesics are found
-variationally, by minimizing the discrete energy of a polyline over interior vertex coordinates (damped
-Newton on the exact block-tridiagonal Hessian, solved in banded form).  The
-torus factor contributes one candidate, in the deck class of the closest
-lattice vector, and singular spaces a second one that passes through the
-collapsed core {f = 0}, where the torus coordinate can jump for free.
+error test fails bisected, round by round.  Geodesics are found variationally,
+by minimizing the discrete energy of a polyline over its interior vertices
+(damped Newton on the exact block-tridiagonal Hessian, in banded form).  The
+torus factor gives one candidate, in the deck class of the closest lattice
+vector.  A singular space adds the route through the collapsed core {f = 0}:
+theta jumps for free there, so the route is an ordinary path in the base
+doubled across r_min, unfolded back into the space.
 """
 
 from __future__ import annotations
@@ -319,60 +320,41 @@ def path_point_at_arclength(space: WarpedSpace, path: PolylinePath, s: float) ->
 class _Discretization:
     """Flattened view of interior vertices for the optimizer.
 
-    Layout per interior vertex: [r, e (k), theta (tdim)] in cover
-    coordinates (theta unconstrained; the deck shift is already folded into
-    the endpoint).
+    Layout per vertex, the endpoints p and q included: [r, e (k), theta
+    (tdim)] in cover coordinates (theta unconstrained; the deck shift is
+    already folded into q).
     """
 
-    def __init__(self, space, p_cover, q_cover, n, clamps=None):
+    def __init__(self, space, p, q, n):
         self.space = space
         self.k = space.euclid_dim
         self.tdim = space.torus_dim
         self.stride = 1 + self.k + self.tdim
         self.n = n
-        self.p = p_cover  # (r, e, theta) arrays
-        self.q = q_cover
-        # clamps: dict vertex_index -> dict of ("r"|"theta") -> value/vector
-        self.clamps = clamps or {}
+        self.p = p
+        self.q = q
 
     def initial(self, rng):
         n, st = self.n, self.stride
         x = np.empty((n - 1, st))
         ts = np.arange(1, n)[:, None] / n
-        full_p = np.concatenate(([self.p[0]], self.p[1], self.p[2]))
-        full_q = np.concatenate(([self.q[0]], self.q[1], self.q[2]))
-        x[:] = full_p + ts * (full_q - full_p)
+        x[:] = self.p + ts * (self.q - self.p)
         x += 1e-9 * rng.standard_normal(x.shape)
-        self._apply_clamps(x)
         return x.ravel()
 
-    def _apply_clamps(self, x):
-        for idx, spec in self.clamps.items():
-            if "r" in spec:
-                x[idx - 1, 0] = spec["r"]
-            if "theta" in spec:
-                x[idx - 1, 1 + self.k:] = spec["theta"]
-
     def bounds(self):
-        """Lower and upper bounds of the flattened interior coordinates; a
-        clamped coordinate has equal bounds."""
+        """Box bounds of the flattened interior coordinates: r in the interval."""
         n, st = self.n, self.stride
         lo = np.full((n - 1, st), -np.inf)
         hi = np.full((n - 1, st), np.inf)
         lo[:, 0] = self.space.r_min
         hi[:, 0] = self.space.r_max
-        for idx, spec in self.clamps.items():
-            if "r" in spec:
-                lo[idx - 1, 0] = hi[idx - 1, 0] = spec["r"]
-            if "theta" in spec:
-                lo[idx - 1, 1 + self.k:] = hi[idx - 1, 1 + self.k:] = spec["theta"]
         return lo.ravel(), hi.ravel()
 
     def full_chain(self, xflat):
         n, st = self.n, self.stride
         chain = np.empty((n + 1, st))
-        chain[0] = np.concatenate(([self.p[0]], self.p[1], self.p[2]))
-        chain[-1] = np.concatenate(([self.q[0]], self.q[1], self.q[2]))
+        chain[0], chain[-1] = self.p, self.q
         chain[1:-1] = xflat.reshape(n - 1, st)
         return chain
 
@@ -516,12 +498,11 @@ def _newton_step(ab, grad, free):
 def _optimize_chain(disc: _Discretization, rng, maxiter=200, x0=None):
     """Damped projected Newton on the discrete energy.
 
-    Each step solves with the exact banded Hessian; clamped coordinates, and
-    r coordinates sitting on a bound with the gradient pushing outward, are
-    held fixed.  The step is projected onto the box and backtracked until
-    Armijo holds.  Returns the chain, the projected-gradient residual, the
-    iteration count, and whether the iteration cap stopped the solve above
-    ``GRAD_TOL``.
+    Each step solves with the exact banded Hessian; r coordinates sitting on
+    a bound with the gradient pushing outward are held fixed.  The step is
+    projected onto the box and backtracked until Armijo holds.  Returns the
+    chain, the projected-gradient residual, the iteration count, and whether
+    the iteration cap stopped the solve above ``GRAD_TOL``.
     """
     lo, hi = disc.bounds()
     x = np.clip(disc.initial(rng) if x0 is None else x0, lo, hi)
@@ -530,7 +511,7 @@ def _optimize_chain(disc: _Discretization, rng, maxiter=200, x0=None):
     nit = 0
     while gnorm > GRAD_TOL and nit < maxiter:
         nit += 1
-        pinned = (lo == hi) | ((x <= lo + 1e-12) & (grad > 0)) | ((x >= hi - 1e-12) & (grad < 0))
+        pinned = ((x <= lo + 1e-12) & (grad > 0)) | ((x >= hi - 1e-12) & (grad < 0))
         step = _newton_step(disc.hessian_banded(x), grad, ~pinned)
         t = 1.0
         for _ in range(60):
@@ -555,13 +536,11 @@ def _refine(xflat, disc: _Discretization):
     new = np.empty((2 * disc.n + 1, disc.stride))
     new[0::2] = chain
     new[1::2] = mids
-    clamps = {2 * i: spec for i, spec in disc.clamps.items()}
-    d2 = _Discretization(disc.space, disc.p, disc.q, 2 * disc.n, clamps)
-    return new[1:-1].ravel(), d2
+    return new[1:-1].ravel(), _Discretization(disc.space, disc.p, disc.q, 2 * disc.n)
 
 
 def _cover_coords(p: WPoint):
-    return (p.r, p.e.copy(), p.theta.copy())
+    return np.concatenate(([p.r], p.e, p.theta))
 
 
 def _chain_to_path(space: WarpedSpace, chain: np.ndarray, k: int) -> PolylinePath:
@@ -580,19 +559,39 @@ def _chain_to_path(space: WarpedSpace, chain: np.ndarray, k: int) -> PolylinePat
     return PolylinePath(tuple(verts), tuple(shifts))
 
 
-def _through_core(space: WarpedSpace, p: WPoint, q: WPoint, n: int) -> _Discretization:
-    """Through-core candidate: clamp the two middle vertices to the core and
-    freeze theta leg-wise; the jump at the core is free (f=0)."""
-    i1 = n // 2
-    i2 = i1 + 1
-    clamps = {i1: {"r": space.r_min, "theta": p.theta.copy()},
-              i2: {"r": space.r_min, "theta": q.theta.copy()}}
-    for i in range(1, i1):
-        clamps[i] = {"theta": p.theta.copy()}
-    for i in range(i2 + 1, n):
-        clamps[i] = {"theta": q.theta.copy()}
-    qc = (q.r, q.e.copy(), q.theta.copy())
-    return _Discretization(space, _cover_coords(p), qc, n, clamps)
+class _Mirrored(ScalarC2):
+    """warp(a + |r - a|): a warp reflected across r = a."""
+
+    def __init__(self, warp: ScalarC2, a: float):
+        self.warp, self.a = warp, a
+
+    def jet(self, r, n=2):
+        sign = np.where(r < self.a, -1.0, 1.0)
+        return [v * sign ** o for o, v in enumerate(self.warp.jet(self.a + np.abs(r - self.a), n))]
+
+
+def _core_route(space: WarpedSpace, p: WPoint, q: WPoint, n: int) -> _Discretization:
+    """The route through the core {r = a}, a = r_min: a path in (2a - r_max,
+    r_max) x_{g(a + |r - a|)} E^k from (r_p, e_p) to (2a - r_q, e_q)."""
+    a, b = space.interval
+    doubled = WarpedSpace((2.0 * a - b, b), space.euclid_dim, _Mirrored(space.warp_g, a))
+    return _Discretization(doubled, np.concatenate(([p.r], p.e)), np.concatenate(([2.0 * a - q.r], q.e)), n)
+
+
+def _unfold(space: WarpedSpace, chain: np.ndarray, p: WPoint, q: WPoint) -> np.ndarray:
+    """Cover chain of a ``_core_route`` chain.  The rows before its first
+    crossing of r = a take theta_p; the crossing becomes a core vertex, entered
+    with theta_p and left with theta_q; the rows after it are reflected back
+    and take theta_q."""
+    a, r = space.r_min, chain[:, 0]
+    j = 1 + int(np.argmax(r[1:] <= a))
+    t = (r[j - 1] - a) / (r[j - 1] - r[j]) if r[j - 1] > a else 0.0
+    crossing = chain[j - 1] + t * (chain[j] - chain[j - 1])
+    crossing[0] = a
+    tail = np.column_stack((a + np.abs(r[j:] - a), chain[j:, 1:]))
+    base = np.vstack((chain[:j], crossing, crossing, tail))
+    theta = np.repeat(np.stack((p.theta, q.theta)), (j + 1, len(tail) + 1), axis=0)
+    return np.hstack((base, theta))
 
 
 def solve_geodesic(
@@ -611,9 +610,11 @@ def solve_geodesic(
     falls below ``GRAD_TOL``.  Outer loop: one direct candidate, in the deck
     class whose cover difference theta_q + v - theta_p is shortest (v the
     lattice vector closest to theta_p - theta_q), plus, in singular spaces,
-    one candidate passing through the core with a free torus jump there.
-    Each candidate is refined by segment doubling until its length
-    stabilizes below ``refine_tol``, and the shorter final path wins.
+    the route through the core: a path from (r_p, e_p) to the mirror point
+    (2 r_min - r_q, e_q) in the base doubled across r_min, unfolded with
+    theta_p before its crossing and theta_q after.  Each candidate is refined
+    by segment doubling until its chain length stabilizes below
+    ``refine_tol``, and the shorter exact length of the final paths wins.
 
     ``iterations`` in the result counts Newton steps, summed over all
     candidates and refinement levels.  ``converged`` is False when the final
@@ -637,10 +638,10 @@ def solve_geodesic(
         # class s and u* the shortest, theta -> theta_p + (u* u_s^T /
         # |u_s|^2)(theta - theta_p) has norm <= 1 and fixes r and e, so it
         # maps any class-s path, core jumps included, to a no longer one.
-        qc = (q.r, q.e.copy(), q.theta + closest_vector(space.torus.basis, p.theta - q.theta))
+        qc[1 + k:] += closest_vector(space.torus.basis, p.theta - q.theta)
     candidates = [_Discretization(space, _cover_coords(p), qc, n_segments)]
     if space.singular_at_zero and tdim:
-        candidates.append(_through_core(space, p, q, n_segments))
+        candidates.append(_core_route(space, p, q, n_segments))
 
     best = None  # (distance, path, gnorm)
     total_iters = 0
@@ -664,7 +665,10 @@ def solve_geodesic(
         # no path is shorter than the distance, so the shorter refined
         # candidate is never the worse answer; a coarse chain can rank them
         # the wrong way round
-        path = _chain_to_path(space, disc.full_chain(x), k)
+        chain = disc.full_chain(x)
+        if disc.space is not space:
+            chain = _unfold(space, chain, p, q)
+        path = _chain_to_path(space, chain, k)
         dist = path_length(space, path)
         if best is None or dist < best[0]:
             best = (dist, path, gnorm)

@@ -107,9 +107,6 @@ class EllipseArc(ScalarC2):
         self._hxx = n00 * n00 + n10 * n10
         self._hxy = n00 * n01 + n10 * n11
 
-    def d(self, r, order=0):
-        return self.jet(r, order)[order]
-
     def jet(self, r, n=2):
         _check_order(n)
         x = np.asarray(r, dtype=float)
@@ -371,9 +368,6 @@ class SplicePiece(ScalarC2):
         for order, poly in enumerate((a0, a1, a2)):
             stacked[:, order:, order] = poly.coeffs
         self._jet = PiecewisePoly(spl.breaks, stacked)
-
-    def d(self, r, order=0):
-        return self.jet(r, order)[order]
 
     def jet(self, r, n=2):
         _check_order(n)

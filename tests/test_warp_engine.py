@@ -16,8 +16,8 @@ from warpfill.warp_engine import (
     WPoint,
     _cover_coords,
     _Discretization,
+    _core_route,
     _optimize_chain,
-    _through_core,
     alexandrov_angle,
     direction_at_singular,
     distance_to_core,
@@ -189,23 +189,31 @@ class TestSkewedTorus:
         # an unreduced basis of the lattice spanned by (7, 0), (0.3, 6.9)
         ([[7.0, 0.0], [70.3, 6.9]], 12),
         ([[7.0, 0.0, 0.0], [3.1, 6.4, 0.0], [2.0, 1.5, 6.8]], 6),
+        ([[7.0]], 12),
     ])
     def test_solver_matches_closed_form(self, rows, pairs):
         torus = LatticeTorus(np.array(rows))
         space = WarpedSpace(interval=(0.0, 3.0), euclid_dim=1, warp_g=Cosh(), torus=torus, warp_f=Sinh())
         rng = np.random.default_rng(16)
-        checked = 0
-        while checked < pairs:
+        for _ in range(pairs):
             # theta anywhere in the fundamental cell, so the deck class matters
             p, q = (WPoint(rng.uniform(0.1, 2.0), [rng.uniform(-0.5, 0.5)],
                            rng.uniform(0, 1, torus.dim) @ torus.basis) for _ in range(2))
-            # beyond d_T = pi the geodesic runs through the core, where the
-            # solver still misses by up to about 7e-4
-            if torus_distance(torus, p.theta, q.theta) >= 2.5:
-                continue
             res = solve_geodesic(space, p, q, 16, 0, refine_tol=1e-5)
             assert res.distance == pytest.approx(cylinder_distance(torus, p, q), abs=1e-4)
-            checked += 1
+
+    @pytest.mark.parametrize("p, q", [
+        # the two pairs core_geodesics used to keep as failing, d_T < pi and > pi
+        ((1.244, 0.0, 0.0), (1.3, 0.2, 3.02)),
+        ((0.6, 0.0, 2.0), (0.5, 0.5, 5.3)),
+        # an endpoint on the core, where the unfolded route starts or ends
+        ((0.0, 0.1, 0.0), (0.8, -0.3, 3.6)),
+        ((0.8, -0.3, 0.2), (0.0, 0.4, 3.9)),
+    ])
+    def test_core_route_matches_closed_form(self, singular_model, p, q):
+        p, q = (WPoint(r, [e], [th]) for r, e, th in (p, q))
+        res = solve_geodesic(singular_model, p, q, 16, 0, refine_tol=1e-5)
+        assert res.distance == pytest.approx(cylinder_distance(singular_model.torus, p, q), abs=1e-4)
 
 
 def banded_to_dense(ab):
@@ -239,14 +247,18 @@ class TestNewtonSolver:
             disc = _Discretization(singular_model, _cover_coords(WPoint(0.5, [0.2], [0.3])),
                                    _cover_coords(WPoint(1.1, [-0.4], [2.0])), 8)
         else:
-            disc = _through_core(singular_model, WPoint(0.4, [0.2], [0.3]),
-                                 WPoint(0.6, [-0.4], [3.5]), 8)
+            disc = _core_route(singular_model, WPoint(0.4, [0.2], [0.3]),
+                               WPoint(0.6, [-0.4], [3.5]), 8)
         x = disc.initial(rng)
         lo, hi = disc.bounds()
-        free = lo < hi
-        # move the free coordinates off the straight chain; r stays inside
-        x[free] += 0.1 * rng.standard_normal(free.sum())
-        x = np.clip(x, lo + 0.05 * free, hi)
+        # move the chain off the straight line; r stays inside
+        x += 0.1 * rng.standard_normal(x.size)
+        x = np.clip(x, lo + 0.05, hi)
+        if case == "through_core":
+            # segment midpoints on both sides of the core, so the mirrored
+            # warp's sign flip is differentiated
+            r = disc.full_chain(x)[:, 0]
+            assert np.ptp(np.sign(r[:-1] + r[1:])) == 2
         ab = disc.hessian_banded(x)
         assert ab.shape == (2 * disc.stride, x.size)
         expected = fd_hessian(disc, x)
