@@ -3,15 +3,17 @@
 
     PYTHONPATH=src python3 scripts/geodesic_digest.py --workload core_geodesics --seeds 101-120 --rounds 3
 
-For every seed, rebuilds the inputs of rounds 0..N-1 of a geodesic workload
-with ``perfbench/workloads.round_inputs``, solves each pair as
-``workloads.Context.run`` does, and prints one line: the seed, the count of
-operations, the count that fail ``checks.check_geodesic`` (or raise), which
-ones fail as round:index (``-`` for none), and a sha256 over every result's
-distance, iteration count and path vertices, each float written with
-``float.hex``.  Two checkouts whose solver numerics
-agree print the same lines, so running this with PYTHONPATH set to each
-checkout's ``src`` shows whether a change moved them.  warpfill is imported
+For every seed, rebuilds the inputs of rounds 0..N-1 of a workload that
+solves geodesics with ``perfbench/workloads.round_inputs``, runs each
+operation as ``workloads.Context.run`` does, and prints one line: the seed,
+the count of operations, the count that fail the workload's check
+(``checks.check_geodesic`` or ``checks.check_cat``) or raise, which ones fail
+as round:index (``-`` for none), and a sha256 over every result, each float
+written with ``float.hex``: for a geodesic its distance, iteration count and
+path vertices, for a ``filling_cat`` triangle the ``cat_test`` report's
+``max_violation`` and every sample record.  Two checkouts whose solver
+numerics agree print the same lines, so running this with PYTHONPATH set to
+each checkout's ``src`` shows whether a change moved them.  warpfill is imported
 from PYTHONPATH; the workload definitions come from this checkout.
 """
 
@@ -24,8 +26,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import workloads  # noqa: E402
-
-GEODESIC_WORKLOADS = ("h2_geodesics", "core_geodesics")
 
 
 def seed_range(text):
@@ -47,6 +47,17 @@ def result_fields(result):
     return "\n".join(parts)
 
 
+def report_fields(report):
+    """The digested fields of one cat_test ComparisonReport, as text."""
+    parts = [report.max_violation.hex()]
+    for s1, t1, s2, t2, violation in report.samples:
+        parts.append(f"{s1} {t1.hex()} {s2} {t2.hex()} {violation.hex()}")
+    return "\n".join(parts)
+
+
+FIELDS = {"h2_geodesics": result_fields, "core_geodesics": result_fields, "filling_cat": report_fields}
+
+
 def digest_seed(ctx, workload, seed, rounds):
     """(operations, failing "round:index" labels, sha256 hex) over rounds
     0..rounds-1 of ``seed``."""
@@ -64,7 +75,7 @@ def digest_seed(ctx, workload, seed, rounds):
                 sha.update(f"raised {type(exc).__name__}\n".encode())
                 ok = False
             else:
-                sha.update(result_fields(result).encode() + b"\n")
+                sha.update(FIELDS[workload](result).encode() + b"\n")
                 ok, _ = ctx.check(op, args, result, [])
             if not ok:
                 failing.append(f"{k}:{i}")
@@ -73,7 +84,7 @@ def digest_seed(ctx, workload, seed, rounds):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--workload", required=True, choices=GEODESIC_WORKLOADS)
+    ap.add_argument("--workload", required=True, choices=sorted(FIELDS))
     ap.add_argument("--seeds", required=True, type=seed_range, help="one seed A or a range A-B")
     ap.add_argument("--rounds", type=int, default=1)
     args = ap.parse_args(argv)

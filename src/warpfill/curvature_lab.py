@@ -269,7 +269,6 @@ def fk_convexity(samples, K: float, window: float = 0.1, margin: float = BARRIER
 @dataclass(frozen=True)
 class ComparisonReport:
     kappa: float
-    triangles_tested: int
     max_violation: float
     worst_case: tuple | None
     samples: tuple = field(default=(), repr=False)
@@ -327,9 +326,7 @@ def cat_test(
         if violation > max_violation:
             max_violation = violation
             worst = records[-1]
-    return ComparisonReport(
-        float(kappa), 1, float(max_violation), worst, tuple(records), tolerance
-    )
+    return ComparisonReport(float(kappa), float(max_violation), worst, tuple(records), tolerance)
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,12 @@ def filling_to_json_dict(filling: FillingSpec) -> dict:
 
 
 def filling_from_json_dict(doc: dict) -> FillingSpec:
+    if not (isinstance(doc, dict)
+            and isinstance(doc.get("n"), numbers.Integral) and not isinstance(doc["n"], bool)
+            and isinstance(doc.get("cusps"), (list, tuple))
+            and all(isinstance(c, dict) and {"basis", "filling_coeffs"} <= c.keys() for c in doc["cusps"])):
+        raise ValidationError('a filling spec is an object with an integer "n" and a list "cusps" of '
+                              'objects with "basis" and "filling_coeffs"')
     cusps = [
         CuspSpec(
             boundary_lattice=LatticeTorus(np.asarray(c["basis"], dtype=float)),

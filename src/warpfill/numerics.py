@@ -30,9 +30,6 @@ class ScalarC2:
 class Sinh(ScalarC2):
     name = "sinh"
 
-    def d(self, r, order=0):
-        return np.sinh(r) if order % 2 == 0 else np.cosh(r)
-
     def jet(self, r, n=2):
         s = np.sinh(r)
         c = np.cosh(r) if n else s
@@ -41,9 +38,6 @@ class Sinh(ScalarC2):
 
 class Cosh(ScalarC2):
     name = "cosh"
-
-    def d(self, r, order=0):
-        return np.cosh(r) if order % 2 == 0 else np.sinh(r)
 
     def jet(self, r, n=2):
         c = np.cosh(r)
@@ -59,11 +53,8 @@ class ExpShift(ScalarC2):
     def __init__(self, shift=0.0):
         self.shift = float(shift)
 
-    def d(self, r, order=0):
-        return np.exp(np.asarray(r, dtype=float) - self.shift)
-
     def jet(self, r, n=2):
-        return [self.d(r)] * (n + 1)
+        return [np.exp(np.asarray(r, dtype=float) - self.shift)] * (n + 1)
 
 
 class LinearR(ScalarC2):

@@ -14,8 +14,11 @@ doubled across r_min, unfolded back into the space.
 
 from __future__ import annotations
 
+import inspect
 import json
+import numbers
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -317,6 +320,13 @@ def path_point_at_arclength(space: WarpedSpace, path: PolylinePath, s: float) ->
 # discrete energy and its gradient
 # ---------------------------------------------------------------------------
 
+# The one evaluation of a chain: the segment differences dr, de, dth and
+# squared norms de2, dth2, the jets [w, w', w''] of g and f at the midpoint
+# radii (zeros without a torus), and the segment energies cost = dr^2 +
+# g^2 de2 + f^2 dth2.
+_Segments = namedtuple("_Segments", "dr de dth de2 dth2 g f cost")
+
+
 class _Discretization:
     """Flattened view of interior vertices for the optimizer.
 
@@ -358,45 +368,48 @@ class _Discretization:
         chain[1:-1] = xflat.reshape(n - 1, st)
         return chain
 
-    def energy_grad(self, xflat):
-        sp, k = self.space, self.k
+    def segments(self, xflat):
+        """The chain's ``_Segments``; the energy, gradient, Hessian and chain
+        length are all read from it."""
+        k = self.k
         chain = self.full_chain(xflat)
         r = chain[:, 0]
-        e = chain[:, 1:1 + k]
-        th = chain[:, 1 + k:]
         dr = np.diff(r)
-        de = np.diff(e, axis=0)
-        dth = np.diff(th, axis=0)
+        de = np.diff(chain[:, 1:1 + k], axis=0)
+        dth = np.diff(chain[:, 1 + k:], axis=0)
         de2 = np.einsum("ij,ij->i", de, de)
         dth2 = np.einsum("ij,ij->i", dth, dth)
         m = 0.5 * (r[:-1] + r[1:])
-        g, g1 = sp.warp_g.jet(m, 1)
-        if self.tdim:
-            f, f1 = sp.warp_f.jet(m, 1)
-        else:
-            f = f1 = np.zeros_like(m)
-        cost = dr * dr + g * g * de2 + f * f * dth2
-        energy = float(cost.sum())
+        g = self.space.warp_g.jet(m, 2)
+        f = self.space.warp_f.jet(m, 2) if self.tdim else [np.zeros_like(m)] * 3
+        cost = dr * dr + g[0] * g[0] * de2 + f[0] * f[0] * dth2
+        return _Segments(dr, de, dth, de2, dth2, g, f, cost)
 
-        grad = np.zeros_like(chain)
+    def energy_grad(self, seg):
+        k = self.k
+        g, g1, _ = seg.g
+        f, f1, _ = seg.f
+        energy = float(seg.cost.sum())
+
+        grad = np.zeros((self.n + 1, self.stride))
         # r-derivative: endpoint difference terms
-        grad[:-1, 0] += -2.0 * dr
-        grad[1:, 0] += 2.0 * dr
+        grad[:-1, 0] += -2.0 * seg.dr
+        grad[1:, 0] += 2.0 * seg.dr
         # r-derivative: midpoint warp terms (d m / d r_i = 1/2 on both ends)
-        mid = g * g1 * de2 + f * f1 * dth2
+        mid = g * g1 * seg.de2 + f * f1 * seg.dth2
         grad[:-1, 0] += mid
         grad[1:, 0] += mid
         # e and theta derivatives
-        ge = (g * g)[:, None] * de
+        ge = (g * g)[:, None] * seg.de
         grad[:-1, 1:1 + k] += -2.0 * ge
         grad[1:, 1:1 + k] += 2.0 * ge
         if self.tdim:
-            ft = (f * f)[:, None] * dth
+            ft = (f * f)[:, None] * seg.dth
             grad[:-1, 1 + k:] += -2.0 * ft
             grad[1:, 1 + k:] += 2.0 * ft
         return energy, grad[1:-1].ravel()
 
-    def hessian_banded(self, xflat):
+    def hessian_banded(self, seg):
         """Exact Hessian of ``energy_grad``'s energy in the upper banded
         storage of ``scipy.linalg.solveh_banded``: ``ab[u + i - j, j] = H[i, j]``
         for ``i <= j``, with upper bandwidth ``u = 2 * stride - 1``.
@@ -407,19 +420,9 @@ class _Discretization:
         is the difference part [[D, -D], [-D, D]], D = diag(2, 2G, 2F), plus
         the midpoint-warp rank-two terms in the two r slots.
         """
-        sp, k, st, n = self.space, self.k, self.stride, self.n
-        chain = self.full_chain(xflat)
-        r = chain[:, 0]
-        de = np.diff(chain[:, 1:1 + k], axis=0)
-        dth = np.diff(chain[:, 1 + k:], axis=0)
-        m = 0.5 * (r[:-1] + r[1:])
-        g, g1, g2 = sp.warp_g.jet(m, 2)
-        if self.tdim:
-            f, f1, f2 = sp.warp_f.jet(m, 2)
-        else:
-            f = f1 = f2 = np.zeros_like(m)
-        de2 = np.einsum("ij,ij->i", de, de)
-        dth2 = np.einsum("ij,ij->i", dth, dth)
+        k, st, n = self.k, self.stride, self.n
+        g, g1, g2 = seg.g
+        f, f1, f2 = seg.f
 
         diag = np.empty((n, st))
         diag[:, 0] = 2.0
@@ -427,11 +430,11 @@ class _Discretization:
         diag[:, 1 + k:] = (2.0 * f * f)[:, None]
         # d^2 c_s / d r_x d y_b = -d^2 c_s / d r_x d y_a = (2gg' de, 2ff' dth)
         cross = np.zeros((n, st))
-        cross[:, 1:1 + k] = (2.0 * g * g1)[:, None] * de
-        cross[:, 1 + k:] = (2.0 * f * f1)[:, None] * dth
+        cross[:, 1:1 + k] = (2.0 * g * g1)[:, None] * seg.de
+        cross[:, 1 + k:] = (2.0 * f * f1)[:, None] * seg.dth
         v = np.concatenate((-cross, cross), axis=1)
         # d^2 c_s / d r_x d r_y from the warps: G''/4 de2 + F''/4 dth2
-        w = 0.5 * ((g1 * g1 + g * g2) * de2 + (f1 * f1 + f * f2) * dth2)
+        w = 0.5 * ((g1 * g1 + g * g2) * seg.de2 + (f1 * f1 + f * f2) * seg.dth2)
 
         blk = np.zeros((n, 2 * st, 2 * st))
         i = np.arange(st)
@@ -452,25 +455,6 @@ class _Discretization:
                 ab[u + l1 - l2, l2:l2 + n * st:st] += blk[:, l1, l2]
         # drop the two endpoints (the band's unused top-left cells are never read)
         return ab[:, st:n * st]
-
-    def chain_length(self, xflat):
-        chain = self.full_chain(xflat)
-        r = chain[:, 0]
-        k = self.k
-        de2 = np.einsum("ij,ij->i", np.diff(chain[:, 1:1 + k], axis=0), np.diff(chain[:, 1:1 + k], axis=0))
-        dth2 = np.einsum("ij,ij->i", np.diff(chain[:, 1 + k:], axis=0), np.diff(chain[:, 1 + k:], axis=0))
-        m = 0.5 * (r[:-1] + r[1:])
-        g = np.asarray(self.space.g(m), dtype=float)
-        f = np.asarray(self.space.f(m), dtype=float) if self.tdim else np.zeros_like(m)
-        return float(np.sqrt(np.diff(r) ** 2 + g * g * de2 + f * f * dth2).sum())
-
-
-def _kkt_residual(x, grad, lo, hi):
-    """Max-norm of the gradient with the components blocked by active bounds
-    removed (the KKT residual of the box-constrained problem)."""
-    grad = np.where(x <= lo + 1e-12, np.minimum(grad, 0.0), grad)
-    grad = np.where(x >= hi - 1e-12, np.maximum(grad, 0.0), grad)
-    return float(np.max(np.abs(grad), initial=0.0))
 
 
 def _newton_step(ab, grad, free):
@@ -500,33 +484,38 @@ def _optimize_chain(disc: _Discretization, rng, maxiter=200, x0=None):
 
     Each step solves with the exact banded Hessian; r coordinates sitting on
     a bound with the gradient pushing outward are held fixed.  The step is
-    projected onto the box and backtracked until Armijo holds.  Returns the
-    chain, the projected-gradient residual, the iteration count, and whether
-    the iteration cap stopped the solve above ``GRAD_TOL``.
+    projected onto the box and backtracked until Armijo holds.  Each trial
+    chain is evaluated once by ``disc.segments``, and the Hessian reads the
+    accepted one's record.  Returns the chain, the residual (max |gradient|
+    over the coordinates not held fixed), the iteration count, whether the
+    iteration cap stopped the solve above ``GRAD_TOL``, and the chain length.
     """
     lo, hi = disc.bounds()
     x = np.clip(disc.initial(rng) if x0 is None else x0, lo, hi)
-    energy, grad = disc.energy_grad(x)
-    gnorm = _kkt_residual(x, grad, lo, hi)
+    seg = disc.segments(x)
+    energy, grad = disc.energy_grad(seg)
     nit = 0
-    while gnorm > GRAD_TOL and nit < maxiter:
-        nit += 1
+    while True:
         pinned = ((x <= lo + 1e-12) & (grad > 0)) | ((x >= hi - 1e-12) & (grad < 0))
-        step = _newton_step(disc.hessian_banded(x), grad, ~pinned)
+        gnorm = float(np.max(np.abs(grad[~pinned]), initial=0.0))
+        if not (gnorm > GRAD_TOL and nit < maxiter):
+            break
+        nit += 1
+        step = _newton_step(disc.hessian_banded(seg), grad, ~pinned)
         t = 1.0
         for _ in range(60):
             x_new = np.clip(x + t * step, lo, hi)
-            e_new, g_new = disc.energy_grad(x_new)
+            seg_new = disc.segments(x_new)
+            e_new, g_new = disc.energy_grad(seg_new)
             slope = float(grad @ (x_new - x))
             if slope < 0.0 and e_new <= energy + 1e-4 * slope:
                 break
             t *= 0.5
         else:
             break  # no descent left: the energy is flat to rounding
-        x, energy, grad = x_new, e_new, g_new
-        gnorm = _kkt_residual(x, grad, lo, hi)
+        x, seg, energy, grad = x_new, seg_new, e_new, g_new
     capped = nit >= maxiter and gnorm > GRAD_TOL
-    return x, gnorm, nit, capped
+    return x, gnorm, nit, capped, float(np.sqrt(seg.cost).sum())
 
 
 def _refine(xflat, disc: _Discretization):
@@ -647,21 +636,16 @@ def solve_geodesic(
     total_iters = 0
     capped = False  # some solve stopped at the iteration cap above GRAD_TOL
     for disc in candidates:
-        x, gnorm, nit, cut = _optimize_chain(disc, rng)
-        total_iters += nit
-        capped |= cut
-        length = disc.chain_length(x)
-        # refine until the distance stabilizes
-        while 2 * disc.n <= MAX_SEGMENTS:
-            x0, disc2 = _refine(x, disc)
-            x2, gnorm2, nit, cut = _optimize_chain(disc2, rng, x0=x0)
+        x0, length = None, np.inf
+        while True:
+            x, gnorm, nit, cut, new_length = _optimize_chain(disc, rng, x0=x0)
             total_iters += nit
             capped |= cut
-            length2 = disc2.chain_length(x2)
-            done = abs(length2 - length) < refine_tol
-            disc, x, gnorm, length = disc2, x2, gnorm2, length2
-            if done:
+            # refine until the chain length stabilizes
+            if abs(new_length - length) < refine_tol or 2 * disc.n > MAX_SEGMENTS:
                 break
+            x0, disc = _refine(x, disc)
+            length = new_length
         # no path is shorter than the distance, so the shorter refined
         # candidate is never the worse answer; a coarse chain can rank them
         # the wrong way round
@@ -809,11 +793,19 @@ def _warp_to_json(w):
     raise ValidationError(f"cannot serialize warp handle {w!r}")
 
 
+def _is_number(x):
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def _warp_from_json(doc):
-    if "analytic" in doc:
-        cls = ANALYTIC_REGISTRY[doc["analytic"]]
-        return cls(**doc.get("params", {}))
-    return SmoothWarpFunction.from_json_dict(doc)
+    if "analytic" not in doc:
+        return SmoothWarpFunction.from_json_dict(doc)
+    name, params = doc["analytic"], doc.get("params", {})
+    cls = ANALYTIC_REGISTRY.get(name) if isinstance(name, str) else None
+    if not (cls and isinstance(params, dict) and all(map(_is_number, params.values()))
+            and params.keys() <= inspect.signature(cls).parameters.keys()):
+        raise ValidationError(f"analytic warp {name!r} is not registered or does not take params {params!r}")
+    return cls(**params)
 
 
 def space_to_json_dict(space: WarpedSpace) -> dict:
@@ -827,6 +819,13 @@ def space_to_json_dict(space: WarpedSpace) -> dict:
 
 
 def space_from_json_dict(doc: dict) -> WarpedSpace:
+    if not (isinstance(doc, dict) and isinstance(doc.get("interval"), (list, tuple))
+            and len(doc["interval"]) == 2 and all(map(_is_number, doc["interval"]))
+            and isinstance(doc.get("euclid_dim"), numbers.Integral) and not isinstance(doc["euclid_dim"], bool)
+            and isinstance(doc.get("warp_g"), dict)
+            and all(isinstance(doc.get(key), (dict, type(None))) for key in ("torus", "warp_f"))):
+        raise ValidationError('a space is an object with an "interval" of two numbers, an integer '
+                              '"euclid_dim", a "warp_g" object and optional "torus" and "warp_f" objects')
     torus = LatticeTorus.from_json_dict(doc["torus"]) if doc.get("torus") else None
     warp_f = _warp_from_json(doc["warp_f"]) if doc.get("warp_f") else None
     return WarpedSpace(

@@ -248,6 +248,35 @@ class TestFillingAnalyze:
         assert "error:" in capsys.readouterr().err
 
 
+H2_DOC = {"interval": [-6.0, 6.0], "euclid_dim": 1, "torus": None, "warp_f": None,
+          "warp_g": {"analytic": "exp_shift", "params": {"shift": 0.0}}}
+FILLING_DOC = filling_to_json_dict(axis_filling(3, [1]))
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize("flag, doc", [
+        ("--space", {**H2_DOC, "interval": 5}),
+        ("--space", {**H2_DOC, "warp_g": 3}),
+        ("--space", {**H2_DOC, "warp_g": {"analytic": "exp_shift", "params": {"bogus": 1}}}),
+        ("--space", {**H2_DOC, "euclid_dim": 1.5}),
+        ("--spec", {**FILLING_DOC, "cusps": 5}),
+        ("--spec", []),
+        ("--spec", {**FILLING_DOC, "n": 3.7}),
+        ("--spec", {**FILLING_DOC, "n": "3"}),
+    ], ids=["interval", "warp_g", "params", "euclid_dim", "cusps", "top_level_list", "n_float", "n_string"])
+    def test_is_input_error(self, tmp_path, capsys, flag, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        if flag == "--space":
+            argv = ["geodesic", "--space", str(path), "--from", "[0, 0]", "--to", "[0, 1]", "--samples", "8"]
+        else:
+            argv = ["filling-analyze", "--spec", str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
+
 class TestParser:
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as exc:

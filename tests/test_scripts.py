@@ -59,3 +59,7 @@ def test_geodesic_digest_is_one_stable_line_per_seed():
     core = run_script("geodesic_digest.py", "--workload", "core_geodesics", "--seeds", "5", "--rounds", "2")
     assert core.returncode == 0, core.stderr
     assert core.stdout.split()[5:11] == ["ops", "24", "failed", "0", "at", "-"]
+    cat = run_script("geodesic_digest.py", "--workload", "filling_cat", "--seeds", "5")
+    assert cat.returncode == 0, cat.stderr
+    assert cat.stdout.split()[:11] == ["filling_cat", "seed", "5", "rounds", "1", "ops", "1", "failed", "0", "at", "-"]
+    assert len(cat.stdout.split()[-1]) == 64

@@ -232,7 +232,8 @@ def fd_hessian(disc, x, h=1e-6):
     for i in range(x.size):
         step = np.zeros_like(x)
         step[i] = h
-        cols.append((disc.energy_grad(x + step)[1] - disc.energy_grad(x - step)[1]) / (2 * h))
+        cols.append((disc.energy_grad(disc.segments(x + step))[1]
+                     - disc.energy_grad(disc.segments(x - step))[1]) / (2 * h))
     return np.column_stack(cols)
 
 
@@ -259,7 +260,7 @@ class TestNewtonSolver:
             # warp's sign flip is differentiated
             r = disc.full_chain(x)[:, 0]
             assert np.ptp(np.sign(r[:-1] + r[1:])) == 2
-        ab = disc.hessian_banded(x)
+        ab = disc.hessian_banded(disc.segments(x))
         assert ab.shape == (2 * disc.stride, x.size)
         expected = fd_hessian(disc, x)
         np.testing.assert_allclose(banded_to_dense(ab), expected, rtol=0,
@@ -268,9 +269,9 @@ class TestNewtonSolver:
     def test_iteration_cap_is_reported(self, h2_space):
         disc = _Discretization(h2_space, _cover_coords(WPoint(0.0, [0.0])),
                                _cover_coords(WPoint(0.0, [1.0])), 16)
-        _, gnorm, nit, capped = _optimize_chain(disc, np.random.default_rng(0), maxiter=1)
+        _, gnorm, nit, capped, _ = _optimize_chain(disc, np.random.default_rng(0), maxiter=1)
         assert nit == 1 and capped and gnorm > GRAD_TOL
-        _, gnorm, nit, capped = _optimize_chain(disc, np.random.default_rng(0))
+        _, gnorm, nit, capped, _ = _optimize_chain(disc, np.random.default_rng(0))
         assert not capped and gnorm <= GRAD_TOL
 
     def test_capped_level_is_not_converged(self, h2_space, monkeypatch):
