@@ -22,6 +22,7 @@ from . import __version__
 from .errors import ValidationError, WarpfillError
 from .curvature_lab import CAT_TOL, ScanConfig, cat_test, curvature_scan, fk_convexity
 from .filling_topology import classify, filling_from_json_dict, shell_sequence
+from .numerics import _is_number
 from .warp_engine import (
     WPoint,
     solve_geodesic,
@@ -67,15 +68,29 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
+def _is_real(x) -> bool:
+    return _is_number(x) and bool(np.isfinite(x))
+
+
 def _parse_point(raw: str, space) -> WPoint:
+    """A point given as a list of 1+k+tdim numbers, or as an object with a
+    number "r" and lists "e" (k numbers) and "theta" (tdim numbers), each
+    list optional where the space has no such factor."""
     doc = json.loads(raw)
-    if isinstance(doc, dict):
-        return WPoint(doc["r"], doc.get("e", []), doc.get("theta", []))
-    vals = [float(v) for v in doc]
     k, t = space.euclid_dim, space.torus_dim
-    if len(vals) != 1 + k + t:
-        raise ValueError(f"point needs 1+{k}+{t} coordinates, got {len(vals)}")
-    return WPoint(vals[0], vals[1:1 + k], vals[1 + k:])
+    if isinstance(doc, dict):
+        e, theta = doc.get("e", []), doc.get("theta", [])
+        if not (doc.keys() <= {"r", "e", "theta"} and _is_real(doc.get("r"))
+                and isinstance(e, list) and len(e) == k and all(map(_is_real, e))
+                and isinstance(theta, list) and len(theta) == t and all(map(_is_real, theta))):
+            raise ValidationError(f'a point object has a number "r", number lists "e" of length {k} '
+                                  f'and "theta" of length {t}, and no other keys')
+        return WPoint(doc["r"], e, theta)
+    if not (isinstance(doc, list) and all(map(_is_real, doc))):
+        raise ValidationError("a point is a list of numbers or an object")
+    if len(doc) != 1 + k + t:
+        raise ValidationError(f"point needs 1+{k}+{t} coordinates, got {len(doc)}")
+    return WPoint(doc[0], doc[1:1 + k], doc[1 + k:])
 
 
 # ---------------------------------------------------------------------------

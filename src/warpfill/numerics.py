@@ -3,7 +3,14 @@ functions, and adaptive Gauss-Legendre quadrature."""
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
+
+
+def _is_number(x) -> bool:
+    """A real number from a JSON document: bools are not numbers."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 class ScalarC2:

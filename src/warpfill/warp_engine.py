@@ -34,7 +34,7 @@ from .errors import (
 )
 from .lattice import closest_vector
 from .model_spaces import LatticeTorus, torus_distance
-from .numerics import ANALYTIC_REGISTRY, ScalarC2, adaptive_gauss, as_scalar_c2
+from .numerics import ANALYTIC_REGISTRY, ScalarC2, _is_number, adaptive_gauss, as_scalar_c2
 from .warp_functions import SmoothWarpFunction
 
 __all__ = [
@@ -119,25 +119,26 @@ class WarpedSpace:
         return self.warp_g.d(r, order)
 
     def check_point(self, p: "WPoint"):
-        self.check_points((p,))
+        self.check_points(_cover_coords(p)[None], len(p.theta))
 
-    def check_points(self, points):
-        """Raise OutOfDomainError for the first point with r outside the
-        interval (1e-12 slack) or e, theta of the wrong length; one array
-        pass over all points."""
-        r = np.fromiter((p.r for p in points), dtype=float, count=len(points))
-        e_len = np.fromiter((len(p.e) for p in points), dtype=int, count=len(points))
-        t_len = np.fromiter((len(p.theta) for p in points), dtype=int, count=len(points))
+    def check_points(self, coords, tdim):
+        """Raise OutOfDomainError for the first row [r, e, theta] of ``coords``
+        with r outside the interval (1e-12 slack) or e, theta of the wrong
+        length, theta being the last ``tdim`` columns; one array pass over
+        all rows."""
+        r = coords[:, 0]
+        k = coords.shape[1] - 1 - tdim
         bad_r = ~((r >= self.r_min - 1e-12) & (r <= self.r_max + 1e-12))
-        bad = bad_r | (e_len != self.euclid_dim) | (t_len != self.torus_dim)
-        if not bad.any():
+        layout_ok = k == self.euclid_dim and tdim == self.torus_dim
+        if layout_ok and not bad_r.any():
             return
-        i = int(np.argmax(bad))
+        # all rows share one layout: if it is wrong, row 0 is the first bad one
+        i = int(np.argmax(bad_r)) if layout_ok else 0
         if bad_r[i]:
             raise OutOfDomainError(f"r={r[i]} outside {self.interval}")
-        if e_len[i] != self.euclid_dim:
-            raise OutOfDomainError(f"e has length {e_len[i]}, expected {self.euclid_dim}")
-        raise OutOfDomainError(f"theta has length {t_len[i]}, expected {self.torus_dim}")
+        if k != self.euclid_dim:
+            raise OutOfDomainError(f"e has length {k}, expected {self.euclid_dim}")
+        raise OutOfDomainError(f"theta has length {tdim}, expected {self.torus_dim}")
 
     def points_equal(self, p: "WPoint", q: "WPoint", tol=1e-12) -> bool:
         if abs(p.r - q.r) > tol or np.max(np.abs(p.e - q.e), initial=0.0) > tol:
@@ -176,26 +177,69 @@ class WPoint:
         return {"r": self.r, "e": self.e.tolist(), "theta": self.theta.tolist()}
 
 
-@dataclass(frozen=True)
 class PolylinePath:
-    vertices: tuple
-    deck_shifts: tuple  # per-segment integer coefficient vectors
+    """A polyline held as arrays: ``coords``, one row [r, e, theta] per
+    vertex, and ``shifts``, one row of integer deck coefficients per segment
+    (theta of vertex i + 1 plus ``shifts[i] @ basis`` continues segment i in
+    the cover).  Both are read-only.  ``vertices`` (``WPoint``s) and
+    ``deck_shifts`` are built from them on first read.
 
-    def __post_init__(self):
-        vs = tuple(self.vertices)
+    The constructor takes vertices and deck shifts.  Vertices whose e or
+    theta lengths differ are kept as given, with ``coords`` None, so that
+    measuring the path names the first vertex outside the space.  The
+    segment lengths of the last space the path was measured in are kept.
+    """
+
+    def __init__(self, vertices, deck_shifts):
+        vs = tuple(vertices)
         if len(vs) < 2:
             raise ValidationError("path needs at least two vertices")
-        shifts = tuple(np.asarray(s, dtype=int) for s in self.deck_shifts)
-        if len(shifts) != len(vs) - 1:
+        given = tuple(np.asarray(s, dtype=int) for s in deck_shifts)
+        if len(given) != len(vs) - 1:
             raise ValidationError("need one deck shift per segment")
-        object.__setattr__(self, "vertices", vs)
-        object.__setattr__(self, "deck_shifts", shifts)
+        if len({s.shape for s in given}) != 1 or given[0].ndim != 1:
+            raise ValidationError("deck shifts must be integer vectors of one length")
+        shifts = np.stack(given)
+        coords = None
+        if len({(len(v.e), len(v.theta)) for v in vs}) == 1:
+            r = np.fromiter((v.r for v in vs), dtype=float, count=len(vs))
+            coords = np.column_stack((r, np.stack([v.e for v in vs]), np.stack([v.theta for v in vs])))
+            coords.flags.writeable = False
+        shifts.flags.writeable = False
+        self.coords, self.shifts = coords, shifts
+        self._vertices, self._deck_shifts = vs, given
+        self._measured = None
+
+    @classmethod
+    def _from_arrays(cls, coords, shifts):
+        """A path over ``coords`` and ``shifts`` as they are, made read-only."""
+        path = cls.__new__(cls)
+        coords.flags.writeable = False
+        shifts.flags.writeable = False
+        path.coords, path.shifts = coords, shifts
+        path._vertices = path._deck_shifts = path._measured = None
+        return path
+
+    @property
+    def vertices(self):
+        if self._vertices is None:
+            k = self.coords.shape[1] - 1 - self.shifts.shape[1]
+            self._vertices = tuple(WPoint(row[0], row[1:1 + k], row[1 + k:]) for row in self.coords)
+        return self._vertices
+
+    @property
+    def deck_shifts(self):
+        if self._deck_shifts is None:
+            self._deck_shifts = tuple(self.shifts)
+        return self._deck_shifts
 
     def to_json_dict(self):
-        return {
-            "vertices": [v.to_json_dict() for v in self.vertices],
-            "deck_shifts": [s.tolist() for s in self.deck_shifts],
-        }
+        if self.coords is None:
+            vertices = [v.to_json_dict() for v in self.vertices]
+        else:
+            k = self.coords.shape[1] - 1 - self.shifts.shape[1]
+            vertices = [{"r": row[0], "e": row[1:1 + k], "theta": row[1 + k:]} for row in self.coords.tolist()]
+        return {"vertices": vertices, "deck_shifts": self.shifts.tolist()}
 
 
 @dataclass(frozen=True)
@@ -234,14 +278,16 @@ def _segment_lengths(space: WarpedSpace, path: PolylinePath) -> np.ndarray:
     Segments without e or theta motion take |dr|; constant-r ones have a
     constant speed.
     """
-    verts = path.vertices
-    r = np.fromiter((v.r for v in verts), dtype=float, count=len(verts))
+    k = space.euclid_dim
+    r = path.coords[:, 0]
     dr = np.diff(r)
-    de = np.diff(np.stack([v.e for v in verts]), axis=0)
+    de = np.diff(path.coords[:, 1:1 + k], axis=0)
     de2 = np.einsum("ij,ij->i", de, de)
     if space.torus is not None:
-        theta = np.stack([v.theta for v in verts])
-        shifts = np.stack(path.deck_shifts).astype(float) @ space.torus.basis
+        theta = path.coords[:, 1 + k:]
+        # this rounding order, not np.diff(theta) + shifts, is the one the
+        # solver's digests rest on
+        shifts = path.shifts.astype(float) @ space.torus.basis
         dth = theta[1:] + shifts - theta[:-1]
         dth2 = np.einsum("ij,ij->i", dth, dth)
     else:
@@ -288,32 +334,44 @@ def _warp_knots(space: WarpedSpace) -> np.ndarray:
     return np.unique(np.concatenate([np.asarray(k, dtype=float) for k in knots]))
 
 
+def _measure(space: WarpedSpace, path: PolylinePath):
+    """(segment lengths, their cumulative sums) of ``path`` in ``space``,
+    after checking its vertices.  A path keeps the figures of the last space
+    it was measured in, so measuring it again there costs nothing."""
+    kept = path._measured
+    if kept is not None and kept[0] is space:
+        return kept[1], kept[2]
+    if path.coords is None:
+        for v in path.vertices:  # vertices of differing lengths: one is outside
+            space.check_point(v)
+    space.check_points(path.coords, path.shifts.shape[1])
+    lengths = _segment_lengths(space, path)
+    ends = np.cumsum(lengths)
+    path._measured = (space, lengths, ends)
+    return lengths, ends
+
+
 def path_length(space: WarpedSpace, path: PolylinePath) -> float:
-    space.check_points(path.vertices)
-    return float(_segment_lengths(space, path).sum())
+    return float(_measure(space, path)[0].sum())
 
 
 def path_point_at_arclength(space: WarpedSpace, path: PolylinePath, s: float) -> WPoint:
     """Point at arclength s from the start, by linear chart interpolation
     within the segment that contains s."""
-    lengths = _segment_lengths(space, path)
-    ends = np.cumsum(lengths)
+    lengths, ends = _measure(space, path)
     total = float(ends[-1])
     if not (-1e-12 <= s <= total + 1e-9):
         raise OutOfRangeError(f"arclength {s} outside [0, {total}]")
     s = min(max(s, 0.0), total)
     i = int(np.searchsorted(ends, s))
-    a, b = path.vertices[i], path.vertices[i + 1]
     start = float(ends[i - 1]) if i else 0.0
     t = 0.0 if lengths[i] == 0 else (s - start) / float(lengths[i])
-    theta_b = b.theta
+    a, b = path.coords[i], path.coords[i + 1].copy()
+    k = space.euclid_dim
     if space.torus is not None:
-        theta_b = b.theta + space.torus.shift_vector(path.deck_shifts[i])
-    return WPoint(
-        a.r + t * (b.r - a.r),
-        a.e + t * (b.e - a.e),
-        a.theta + t * (theta_b - a.theta),
-    )
+        b[1 + k:] += space.torus.shift_vector(path.shifts[i])
+    x = a + t * (b - a)
+    return WPoint(x[0], x[1:1 + k], x[1 + k:])
 
 
 # ---------------------------------------------------------------------------
@@ -536,16 +594,15 @@ def _chain_to_path(space: WarpedSpace, chain: np.ndarray, k: int) -> PolylinePat
     """Convert a cover-coordinate chain to a PolylinePath with reduced theta
     and per-segment deck shifts."""
     if space.torus is None:
-        verts = tuple(WPoint(row[0], row[1:1 + k], np.zeros(0)) for row in chain)
-        return PolylinePath(verts, (np.zeros(0, dtype=int),) * (len(verts) - 1))
+        return PolylinePath._from_arrays(chain, np.zeros((len(chain) - 1, 0), dtype=int))
     basis = space.torus.basis
     coeffs = np.linalg.solve(basis.T, chain[:, 1 + k:].T).T
     floors = np.floor(coeffs)
-    reduced = (coeffs - floors) @ basis
-    verts = [WPoint(row[0], row[1:1 + k], th) for row, th in zip(chain, reduced)]
+    coords = chain.copy()
+    coords[:, 1 + k:] = (coeffs - floors) @ basis
     # reduced theta_{i+1} + shift@basis must equal the cover difference
     shifts = np.rint(np.diff(floors, axis=0)).astype(int)
-    return PolylinePath(tuple(verts), tuple(shifts))
+    return PolylinePath._from_arrays(coords, shifts)
 
 
 class _Mirrored(ScalarC2):
@@ -755,18 +812,19 @@ def log_map(space: WarpedSpace, p: WPoint, x: WPoint, n_segments: int = 64, seed
     chart tangent of the solver polyline.
     """
     res = solve_geodesic(space, p, x, n_segments, seed, refine_tol=refine_tol)
+    if res.residual > 1e-6:
+        raise SolverFailureError("geodesic to x did not converge")
     if res.distance <= 1e-14:
         return (0.0, None)
     if space.singular_at_zero and abs(p.r - space.r_min) <= 1e-12:
         return (res.distance, direction_at_singular(space, p.e, x))
-    v0, v1 = res.path.vertices[0], res.path.vertices[1]
-    th1 = v1.theta
+    k = space.euclid_dim
+    v1 = res.path.coords[1].copy()
     if space.torus is not None:
-        th1 = v1.theta + space.torus.shift_vector(res.path.deck_shifts[0])
-    tangent = np.concatenate(([v1.r - v0.r], v1.e - v0.e, th1 - v0.theta))
+        v1[1 + k:] += space.torus.shift_vector(res.path.shifts[0])
+    tangent = v1 - res.path.coords[0]
     g0 = float(space.g(p.r))
     f0 = float(space.f(p.r)) if space.torus is not None else 1.0
-    k = space.euclid_dim
     norm2 = tangent[0] ** 2 + g0 ** 2 * np.dot(tangent[1:1 + k], tangent[1:1 + k])
     if space.torus is not None:
         norm2 += f0 ** 2 * np.dot(tangent[1 + k:], tangent[1 + k:])
@@ -791,10 +849,6 @@ def _warp_to_json(w):
             doc["params"] = params
         return doc
     raise ValidationError(f"cannot serialize warp handle {w!r}")
-
-
-def _is_number(x):
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def _warp_from_json(doc):

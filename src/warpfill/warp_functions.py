@@ -29,6 +29,7 @@ from .numerics import (
     ExpShift,
     ScalarC2,
     Sinh,
+    _is_number,
     as_scalar_c2,
     smooth_bump,
     smoothstep,
@@ -503,7 +504,13 @@ class SmoothWarpFunction(ScalarC2):
     def from_json_dict(cls, doc):
         if doc.get("version") != SERIALIZATION_VERSION:
             raise ValidationError(f"unsupported version {doc.get('version')}")
-        raw = doc["pieces"]
+        raw = doc.get("pieces")
+        if not (isinstance(raw, list) and all(isinstance(entry, dict) for entry in raw)):
+            raise ValidationError('"pieces" must be a list of objects')
+        for entry in raw:
+            interval = entry.get("interval")
+            if not (isinstance(interval, list) and len(interval) == 2 and all(map(_is_number, interval))):
+                raise ValidationError(f'piece {entry.get("kind")!r} needs an "interval" of two numbers')
         fns: list[ScalarC2 | None] = []
         for entry in raw:
             kind = entry["kind"]

@@ -109,6 +109,19 @@ class TestGeodesic:
         rc = main(["geodesic", "--space", "/nonexistent.json", "--from", "[0,0]", "--to", "[0,1]"])
         assert rc == 2
 
+    @pytest.mark.parametrize("point", [
+        '{"r": [1], "e": [0]}',
+        "5",
+        "[true, 0]",
+        '{"r": 1, "e": [0], "bogus": 3}',
+    ], ids=["r_list", "bare_number", "bool_coordinate", "extra_key"])
+    def test_malformed_point_is_input_error(self, h2_file, capsys, point):
+        rc = main(["geodesic", "--space", h2_file, "--from", point, "--to", "[0, 1]", "--samples", "8"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
 
 class TestCatTest:
     def test_h2_passes(self, h2_file, tmp_path):
@@ -259,11 +272,15 @@ class TestMalformedDocuments:
         ("--space", {**H2_DOC, "warp_g": 3}),
         ("--space", {**H2_DOC, "warp_g": {"analytic": "exp_shift", "params": {"bogus": 1}}}),
         ("--space", {**H2_DOC, "euclid_dim": 1.5}),
+        ("--space", {**H2_DOC, "warp_g": {"version": 1, "pieces": 5}}),
+        ("--space", {**H2_DOC, "warp_g": {"version": 1, "pieces": [
+            {"kind": "ellipse_arc", "interval": 5, "affine_map": [[1, 0, 0], [0, 1, 0]],
+             "convexity_floor": 0.1}]}}),
         ("--spec", {**FILLING_DOC, "cusps": 5}),
         ("--spec", []),
         ("--spec", {**FILLING_DOC, "n": 3.7}),
         ("--spec", {**FILLING_DOC, "n": "3"}),
-    ], ids=["interval", "warp_g", "params", "euclid_dim", "cusps", "top_level_list", "n_float", "n_string"])
+    ], ids=["interval", "warp_g", "params", "euclid_dim", "pieces", "piece_interval", "cusps", "top_level_list", "n_float", "n_string"])
     def test_is_input_error(self, tmp_path, capsys, flag, doc):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))

@@ -6,11 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from warpfill.errors import OutOfDomainError, ValidationError
+from warpfill.errors import OutOfDomainError, SolverFailureError, ValidationError
 from warpfill.model_spaces import LatticeTorus, halfplane_distance, strip_to_halfplane, torus_distance
 from warpfill.numerics import Const, Cosh, ExpShift, LinearR, Sinh, adaptive_gauss
 from warpfill.warp_engine import (
     GRAD_TOL,
+    GeodesicResult,
     PolylinePath,
     WarpedSpace,
     WPoint,
@@ -525,3 +526,73 @@ class TestBatchedQuadrature:
     def test_empty_batch_calls_nothing(self):
         out = adaptive_gauss(lambda x: pytest.fail("integrand called"), np.zeros(0), np.zeros(0))
         assert out.shape == (0,)
+
+
+class TestArrayPath:
+    @pytest.mark.parametrize("case", ["h2", "core_route", "skewed_t2"])
+    def test_path_rebuilt_from_vertices_is_the_same(self, case, h2_space, singular_model):
+        if case == "h2":
+            space, p, q = h2_space, WPoint(0.2, [0.1]), WPoint(-0.4, [1.3])
+        elif case == "core_route":
+            space, p, q = singular_model, WPoint(0.5, [0.0], [0.0]), WPoint(0.5, [0.0], [3.5])
+        else:
+            torus = LatticeTorus(np.array([[7.0, 0.0], [3.1, 6.4]]))
+            space = WarpedSpace(interval=(0.0, 3.0), euclid_dim=1, warp_g=Cosh(), torus=torus, warp_f=Sinh())
+            # theta_q - theta_p leaves the cell, so some segments carry a deck shift
+            p, q = WPoint(0.8, [0.1], [9.8, 6.2]), WPoint(1.1, [-0.2], [0.3, 0.4])
+        res = solve_geodesic(space, p, q, 16, 0, refine_tol=1e-5)
+        if case == "core_route":
+            assert res.path.coords[:, 0].min() == 0.0
+        if case == "skewed_t2":
+            assert res.path.shifts.any()
+        rebuilt = PolylinePath(res.path.vertices, res.path.deck_shifts)
+        assert rebuilt.to_json_dict() == res.path.to_json_dict()
+        assert np.array_equal(rebuilt.coords, res.path.coords)
+        assert path_length(space, rebuilt).hex() == path_length(space, res.path).hex()
+
+    def test_point_at_arclength_reuses_the_solve(self, h2_space, monkeypatch):
+        res = solve_geodesic(h2_space, WPoint(0.0, [0.0]), WPoint(0.3, [1.0]), 16, 0)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return adaptive_gauss(*args, **kwargs)
+
+        monkeypatch.setattr("warpfill.warp_engine.adaptive_gauss", counted)
+        for s in np.linspace(0.0, res.distance, 5):
+            path_point_at_arclength(h2_space, res.path, s)
+        assert calls == []
+        # a path not measured yet is measured once, then reused
+        fresh = PolylinePath(res.path.vertices, res.path.deck_shifts)
+        for s in (0.1, 0.2):
+            path_point_at_arclength(h2_space, fresh, s)
+        assert calls == [1]
+
+    def test_each_space_gets_its_own_length(self, h2_space):
+        flat = WarpedSpace(interval=(-6.0, 6.0), euclid_dim=1, warp_g=Const(1.0))
+        p, q = WPoint(0.2, [0.0]), WPoint(0.9, [1.0])
+        path = straight(p, q)
+        for _ in range(2):
+            for space in (h2_space, flat):
+                assert path_length(space, path) == path_length(space, straight(p, q))
+                mid = path_point_at_arclength(space, path, 0.4)
+                assert mid.r == path_point_at_arclength(space, straight(p, q), 0.4).r
+        assert path_length(flat, path) == pytest.approx(np.hypot(0.7, 1.0), rel=1e-14)
+        assert path_length(h2_space, path) > path_length(flat, path)
+
+    def test_arrays_are_read_only(self, singular_model):
+        res = solve_geodesic(singular_model, WPoint(0.5, [0.0], [1.0]), WPoint(1.0, [0.2], [6.5]), 16, 0)
+        built = straight(WPoint(0.5, [0.0], [1.0]), WPoint(1.0, [0.2], [6.5]), tdim=1)
+        for path in (res.path, built):
+            with pytest.raises(ValueError):
+                path.coords[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                path.shifts[0] = 1
+
+    def test_log_map_rejects_an_unconverged_solve(self, h2_space, monkeypatch):
+        p, x = WPoint(0.0, [0.0]), WPoint(0.3, [0.4])
+        res = solve_geodesic(h2_space, p, x, 16, 0)
+        monkeypatch.setattr("warpfill.warp_engine.solve_geodesic", lambda *args, **kwargs: GeodesicResult(
+            res.distance, res.path, False, res.iterations, 1e-3))
+        with pytest.raises(SolverFailureError):
+            log_map(h2_space, p, x, 16, 0)
