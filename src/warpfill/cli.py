@@ -1,9 +1,10 @@
 """Batch command-line front end.
 
 Subcommands mirror the library modules: warp-build, geodesic, cat-test,
-curvature-scan, fk-check, filling-analyze.  Reports are deterministic for a
-fixed (inputs, seed) pair and written atomically.  Exit codes: 0 all checks
-passed, 1 a check failed, 2 input error.
+curvature-scan, fk-check, filling-analyze.  Reports are written atomically
+and are byte-identical for identical inputs, and for cat-test and
+curvature-scan also the same --seed.  Exit codes: 0 all checks passed, 1 a
+check failed, 2 input error.
 """
 
 from __future__ import annotations
@@ -121,10 +122,10 @@ def _cmd_geodesic(args) -> int:
     space = space_from_json_dict(_load_json(args.space))
     p = _parse_point(args.frm, space)
     q = _parse_point(args.to, space)
-    res = solve_geodesic(space, p, q, n_segments=args.samples, seed=args.seed)
+    res = solve_geodesic(space, p, q, n_segments=args.samples)
     doc = {
         "config": {"space": args.space, "from": args.frm, "to": args.to,
-                   "n_segments": args.samples, "seed": args.seed},
+                   "n_segments": args.samples},
         "results": res.to_json_dict(),
     }
     return _emit(args, doc, res.converged)
@@ -240,15 +241,17 @@ def _build_parser():
     ap = argparse.ArgumentParser(prog="warpfill", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seed=False, formats=False):
         p.add_argument("--out", help="report output path (default: stdout)")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--format", choices=["json", "csv"], default="json")
+        if seed:
+            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        if formats:
+            p.add_argument("--format", choices=["json", "csv"], default="json")
 
     p = sub.add_parser("warp-build", help="assemble the warping pair (f, g)")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--delta0", type=float, default=None)
-    common(p)
+    common(p, formats=True)
     p.set_defaults(fn=_cmd_warp_build)
 
     p = sub.add_parser("geodesic", help="solve a geodesic in a warped space")
@@ -264,13 +267,13 @@ def _build_parser():
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--samples", type=int, default=20, help="triangle count")
     p.add_argument("--box", default=None, help="sampling box as JSON list of [lo,hi]")
-    common(p)
+    common(p, seed=True)
     p.set_defaults(fn=_cmd_cat_test)
 
     p = sub.add_parser("curvature-scan", help="sectional-term scan of a doubly warped space")
     p.add_argument("--space", required=True)
     p.add_argument("--grid", required=True, help="lo:hi:n")
-    common(p)
+    common(p, seed=True, formats=True)
     p.set_defaults(fn=_cmd_curvature_scan)
 
     p = sub.add_parser("fk-check", help="FK-convexity barrier check of sampled data")

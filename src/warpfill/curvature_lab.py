@@ -44,6 +44,8 @@ __all__ = [
 FD_STEP_METRIC = 1e-4
 CAT_TOL = 2e-4
 BARRIER_MARGIN = 1e-9
+# slack of a curvature_scan spot check against the term interval
+FD_BAND = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +293,8 @@ def cat_test(
 ) -> ComparisonReport:
     """Compare the triangle on ``vertices`` against its S_kappa comparison.
 
-    Samples random pairs of points on two distinct sides; a positive
+    Samples random pairs of points on two distinct sides, drawn with
+    ``seed`` (the geodesic solves use no randomness); a positive
     violation means the space distance exceeds the comparison distance,
     i.e. the triangle is fatter than the model allows.
     """
@@ -302,7 +305,7 @@ def cat_test(
     geos = {}
     # side 0 joins v1,v2 (length a), side 1 joins v0,v2 (b), side 2 joins v0,v1 (c)
     for s, (i, j) in _SIDE_ENDPOINTS.items():
-        geos[s] = solve_geodesic(space, v[i], v[j], n_segments, seed, refine_tol=refine_tol)
+        geos[s] = solve_geodesic(space, v[i], v[j], n_segments=n_segments, refine_tol=refine_tol)
         if geos[s].residual > 1e-6:
             raise SolverFailureError(f"side {s} geodesic did not converge")
     a, b, c = geos[0].distance, geos[1].distance, geos[2].distance
@@ -317,7 +320,7 @@ def cat_test(
         t2 = rng.uniform(0.0, tri.side_lengths[s2])
         p1 = path_point_at_arclength(space, geos[int(s1)].path, t1)
         p2 = path_point_at_arclength(space, geos[int(s2)].path, t2)
-        d_space = solve_geodesic(space, p1, p2, n_segments, seed, refine_tol=refine_tol).distance
+        d_space = solve_geodesic(space, p1, p2, n_segments=n_segments, refine_tol=refine_tol).distance
         m1 = triangle_point(tri, int(s1), t1)
         m2 = triangle_point(tri, int(s2), t2)
         d_model = tri.distance(m1, m2)
@@ -340,7 +343,6 @@ class ScanConfig:
     n_grid: int = 2001
     fd_checks: int = 10
     seed: int = 0
-    fd_band: float = 1e-3
 
 
 def curvature_scan(space: WarpedSpace, config: ScanConfig) -> dict:
@@ -375,7 +377,7 @@ def curvature_scan(space: WarpedSpace, config: ScanConfig) -> dict:
         pt = WPoint.make(r, k=k, tdim=tdim)
         kappa_fd = fd_sectional(space, pt, plane)
         lower, upper = float(st.lower[idx]), float(st.upper[idx])
-        inside = lower - config.fd_band <= kappa_fd <= upper + config.fd_band
+        inside = lower - FD_BAND <= kappa_fd <= upper + FD_BAND
         ok = ok and inside
         checks.append(
             {"r": r, "plane": list(plane), "fd": float(kappa_fd),
@@ -388,6 +390,6 @@ def curvature_scan(space: WarpedSpace, config: ScanConfig) -> dict:
         "fd_checks_ok": bool(ok),
         "config": {
             "r_lo": config.r_lo, "r_hi": config.r_hi, "n_grid": config.n_grid,
-            "fd_checks": config.fd_checks, "seed": config.seed, "fd_band": config.fd_band,
+            "fd_checks": config.fd_checks, "seed": config.seed, "fd_band": FD_BAND,
         },
     }

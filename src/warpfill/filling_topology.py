@@ -68,12 +68,6 @@ class _Infinite:
 INFINITE = _Infinite()
 
 
-def _add_ranks(a, b):
-    if a is INFINITE or b is INFINITE:
-        return INFINITE
-    return a + b
-
-
 # ---------------------------------------------------------------------------
 # specs
 # ---------------------------------------------------------------------------
@@ -273,7 +267,7 @@ def connect_sum_cohomology(profiles, top_dim: int) -> CohomologyProfile:
     for p in profiles:
         for q in p.degrees:
             if q < top_dim:
-                out[q] = _add_ranks(out.get(q, 0), p.rank(q))
+                out[q] = out.get(q, 0) + p.rank(q)
     return CohomologyProfile(out)
 
 
@@ -297,16 +291,12 @@ def shell_sequence(filling: FillingSpec, schedule):
     n = filling.n
     profile = CohomologyProfile({n: 1})
     shells = []
+    cycle = {}  # ranks added by one full schedule cycle, per degree below n
     for shell in schedule:
         joins = [join_cohomology(*_core_dims(filling, j)) for j in shell]
         profile = connect_sum_cohomology([profile] + joins, n)
         shells.append(profile)
-
-    # ranks added by one full schedule cycle, per degree below n
-    cycle = {}
-    for shell in schedule:
-        for j in shell:
-            jp = join_cohomology(*_core_dims(filling, j))
+        for jp in joins:
             for q in jp.degrees:
                 if q < n:
                     cycle[q] = cycle.get(q, 0) + jp.rank(q)
@@ -346,11 +336,7 @@ def _cohomology_table(n: int, s: int) -> CohomologyProfile:
 
 def boundary_cohomology(filling: FillingSpec) -> CohomologyProfile:
     """Cech cohomology of the boundary: the group table shifted down by one."""
-    n, s = filling.n, filling.s
-    ranks = {n: 1}
-    for q in range(n - s + 1, n):
-        ranks[q] = INFINITE
-    return CohomologyProfile(ranks)
+    return _cohomology_table(filling.n - 1, filling.s)
 
 
 # ---------------------------------------------------------------------------

@@ -60,8 +60,11 @@ def halfplane_geodesic_point(z: complex, w: complex, s: float) -> complex:
     zz -> (zz - i) / (zz + i) sends i to the centre of the Poincare disk,
     where the geodesic toward w is the radius through the image c of w.
     The point at arclength s is u = tanh(s/2) c/|c| there, mapped back by
-    i (1 + u) / (1 - u) and then zz * Im z + Re z.  Used as an independent
-    check on the discrete solver paths; not needed for distances.
+    i (1 + u) / (1 - u) and then zz * Im z + Re z.  Past the midpoint the
+    same map is taken from w, at arclength total - s toward z: rounding in
+    1 - u grows with s, so each end is reached from itself.  Used as an
+    independent check on the discrete solver paths; not needed for
+    distances.
     """
     z, w = complex(z), complex(w)
     total = halfplane_distance(z, w)
@@ -69,6 +72,8 @@ def halfplane_geodesic_point(z: complex, w: complex, s: float) -> complex:
         raise OutOfRangeError(f"arclength {s} outside [0, {total}]")
     if total < 1e-15:
         return z
+    if s > total / 2.0:
+        z, w, s = w, z, total - s
     x0, y0 = z.real, z.imag
     w1 = (w - x0) / y0
     c = (w1 - 1j) / (w1 + 1j)

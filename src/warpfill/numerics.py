@@ -147,6 +147,12 @@ def smooth_bump(x, a, b):
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
+# adaptive_gauss's settings (see its docstring)
+QUAD_REL_TOL = 1e-10
+QUAD_ABS_FLOOR = 1e-14
+QUAD_ORDER = 10
+QUAD_MAX_DEPTH = 30
+
 
 def gl_nodes(order):
     if order not in _GL_CACHE:
@@ -155,21 +161,22 @@ def gl_nodes(order):
     return _GL_CACHE[order]
 
 
-def adaptive_gauss(fn, a, b, rel_tol=1e-10, abs_floor=1e-14, order=10, max_depth=30):
+def adaptive_gauss(fn, a, b):
     """Adaptive Gauss-Legendre quadrature of a smooth integrand over panels
     [a_i, b_i], batched: one integral per panel.
 
     ``fn`` must be vectorized; it is called with one flat array of nodes per
-    round.  Each panel gets a scale from the 2*order-point rule over the
-    whole panel.  A panel's order-point estimate is compared with the sum
-    over its two halves; a panel passes when they agree to ``rel_tol``
-    relative to max(scale, |halves|), or at ``max_depth`` bisections, and
+    round.  Each panel gets a scale, at least ``QUAD_ABS_FLOOR``, from the
+    2 * ``QUAD_ORDER``-point rule over the whole panel.  A panel's
+    ``QUAD_ORDER``-point estimate is compared with the sum over its two
+    halves; a panel passes when they agree to ``QUAD_REL_TOL`` relative to
+    max(scale, |halves|), or at ``QUAD_MAX_DEPTH`` bisections, and
     contributes the halves' sum.  Only the failing panels are bisected, all
     of them together in the next round.  Scalar ``a`` and ``b`` give a
     float, arrays an array of their broadcast shape.
     """
-    x1, w1 = gl_nodes(order)
-    x2, w2 = gl_nodes(2 * order)
+    x1, w1 = gl_nodes(QUAD_ORDER)
+    x2, w2 = gl_nodes(2 * QUAD_ORDER)
     a_arr, b_arr = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     shape = a_arr.shape
     lo, hi = a_arr.ravel(), b_arr.ravel()
@@ -185,7 +192,7 @@ def adaptive_gauss(fn, a, b, rel_tol=1e-10, abs_floor=1e-14, order=10, max_depth
         return np.reshape(vals, (lo.size, nodes.size)), half
 
     vals, half = evaluate(lo, hi, np.concatenate((x2, x1)))
-    scale = np.maximum(np.abs(half * (vals[:, :x2.size] @ w2)), abs_floor)
+    scale = np.maximum(np.abs(half * (vals[:, :x2.size] @ w2)), QUAD_ABS_FLOOR)
     coarse = half * (vals[:, x2.size:] @ w1)
     owner = np.arange(lo.size)
     depth = 0
@@ -195,8 +202,8 @@ def adaptive_gauss(fn, a, b, rel_tol=1e-10, abs_floor=1e-14, order=10, max_depth
         halves = half * (vals @ w1)
         left, right = halves[:owner.size], halves[owner.size:]
         fine = left + right
-        done = np.abs(fine - coarse) <= rel_tol * np.maximum(scale[owner], np.abs(fine))
-        if depth >= max_depth:
+        done = np.abs(fine - coarse) <= QUAD_REL_TOL * np.maximum(scale[owner], np.abs(fine))
+        if depth >= QUAD_MAX_DEPTH:
             done[:] = True
         np.add.at(total, owner[done], fine[done])
         split = ~done

@@ -323,7 +323,7 @@ def _segment_lengths(space: WarpedSpace, path: PolylinePath) -> np.ndarray:
         lo, hi = edges[:, :-1], edges[:, 1:]
         keep = ~np.isnan(hi)
         owner = np.broadcast_to(np.arange(curved.size)[:, None], lo.shape)[keep]
-        pieces = adaptive_gauss(integrand, owner + lo[keep], owner + hi[keep], rel_tol=1e-10)
+        pieces = adaptive_gauss(integrand, owner + lo[keep], owner + hi[keep])
         lengths[curved] = np.bincount(owner, weights=pieces, minlength=curved.size)
     return lengths
 
@@ -402,13 +402,10 @@ class _Discretization:
         self.p = p
         self.q = q
 
-    def initial(self, rng):
-        n, st = self.n, self.stride
-        x = np.empty((n - 1, st))
-        ts = np.arange(1, n)[:, None] / n
-        x[:] = self.p + ts * (self.q - self.p)
-        x += 1e-9 * rng.standard_normal(x.shape)
-        return x.ravel()
+    def initial(self):
+        """The straight chain from p to q, flattened."""
+        ts = np.arange(1, self.n)[:, None] / self.n
+        return (self.p + ts * (self.q - self.p)).ravel()
 
     def bounds(self):
         """Box bounds of the flattened interior coordinates: r in the interval."""
@@ -537,7 +534,7 @@ def _newton_step(ab, grad, free):
     raise SolverFailureError("Newton system stays indefinite under damping")
 
 
-def _optimize_chain(disc: _Discretization, rng, maxiter=200, x0=None):
+def _optimize_chain(disc: _Discretization, maxiter=200, x0=None):
     """Damped projected Newton on the discrete energy.
 
     Each step solves with the exact banded Hessian; r coordinates sitting on
@@ -549,7 +546,7 @@ def _optimize_chain(disc: _Discretization, rng, maxiter=200, x0=None):
     iteration cap stopped the solve above ``GRAD_TOL``, and the chain length.
     """
     lo, hi = disc.bounds()
-    x = np.clip(disc.initial(rng) if x0 is None else x0, lo, hi)
+    x = np.clip(disc.initial() if x0 is None else x0, lo, hi)
     seg = disc.segments(x)
     energy, grad = disc.energy_grad(seg)
     nit = 0
@@ -644,16 +641,16 @@ def solve_geodesic(
     space: WarpedSpace,
     p: WPoint,
     q: WPoint,
+    *,
     n_segments: int = 64,
-    seed: int = 0,
     refine_tol: float = REFINE_TOL,
 ) -> GeodesicResult:
     """Shortest path between p and q by discrete energy minimization.
 
     Inner loop: damped projected Newton with the exact banded Hessian over
     interior vertex coordinates of a polyline in cover coordinates (r
-    box-constrained to the interval), stopped when the projected gradient
-    falls below ``GRAD_TOL``.  Outer loop: one direct candidate, in the deck
+    box-constrained to the interval), started from the straight chain and
+    stopped when the projected gradient falls below ``GRAD_TOL``.  Outer loop: one direct candidate, in the deck
     class whose cover difference theta_q + v - theta_p is shortest (v the
     lattice vector closest to theta_p - theta_q), plus, in singular spaces,
     the route through the core: a path from (r_p, e_p) to the mirror point
@@ -671,7 +668,6 @@ def solve_geodesic(
     space.check_point(q)
     if n_segments < 8:
         raise ValidationError("n_segments must be >= 8")
-    rng = np.random.default_rng(seed)
     k, tdim = space.euclid_dim, space.torus_dim
 
     if space.points_equal(p, q):
@@ -695,7 +691,7 @@ def solve_geodesic(
     for disc in candidates:
         x0, length = None, np.inf
         while True:
-            x, gnorm, nit, cut, new_length = _optimize_chain(disc, rng, x0=x0)
+            x, gnorm, nit, cut, new_length = _optimize_chain(disc, x0=x0)
             total_iters += nit
             capped |= cut
             # refine until the chain length stabilizes
@@ -760,9 +756,9 @@ def alexandrov_angle(
     p: WPoint,
     q1: WPoint,
     q2: WPoint,
+    *,
     scales=(0.2, 0.1, 0.05, 0.025),
     n_segments: int = 64,
-    seed: int = 0,
     refine_tol: float = 1e-6,
 ):
     """Upper angle at p between [p,q1] and [p,q2], by Euclidean comparison
@@ -775,8 +771,8 @@ def alexandrov_angle(
     """
     if space.points_equal(p, q1) or space.points_equal(p, q2):
         raise ValidationError("q1, q2 must differ from p")
-    g1 = solve_geodesic(space, p, q1, n_segments, seed, refine_tol=refine_tol)
-    g2 = solve_geodesic(space, p, q2, n_segments, seed, refine_tol=refine_tol)
+    g1 = solve_geodesic(space, p, q1, n_segments=n_segments, refine_tol=refine_tol)
+    g2 = solve_geodesic(space, p, q2, n_segments=n_segments, refine_tol=refine_tol)
     if max(g1.residual, g2.residual) > 1e-6:
         raise SolverFailureError("leg geodesics did not converge")
     tmax = min(g1.distance, g2.distance)
@@ -787,7 +783,7 @@ def alexandrov_angle(
             continue
         x1 = path_point_at_arclength(space, g1.path, t)
         x2 = path_point_at_arclength(space, g2.path, t)
-        d = solve_geodesic(space, x1, x2, n_segments, seed, refine_tol=refine_tol).distance
+        d = solve_geodesic(space, x1, x2, n_segments=n_segments, refine_tol=refine_tol).distance
         cosang = (2.0 * t * t - d * d) / (2.0 * t * t)
         angles.append(float(np.arccos(np.clip(cosang, -1.0, 1.0))))
         used.append(t)
@@ -803,7 +799,7 @@ def alexandrov_angle(
     return float(np.clip(extrap, 0.0, np.pi))
 
 
-def log_map(space: WarpedSpace, p: WPoint, x: WPoint, n_segments: int = 64, seed: int = 0,
+def log_map(space: WarpedSpace, p: WPoint, x: WPoint, *, n_segments: int = 64,
             refine_tol: float = REFINE_TOL):
     """(radius, direction) of x seen from p.
 
@@ -811,7 +807,7 @@ def log_map(space: WarpedSpace, p: WPoint, x: WPoint, n_segments: int = 64, seed
     of Lemma-style direction space; at a Riemannian p it is the initial unit
     chart tangent of the solver polyline.
     """
-    res = solve_geodesic(space, p, x, n_segments, seed, refine_tol=refine_tol)
+    res = solve_geodesic(space, p, x, n_segments=n_segments, refine_tol=refine_tol)
     if res.residual > 1e-6:
         raise SolverFailureError("geodesic to x did not converge")
     if res.distance <= 1e-14:

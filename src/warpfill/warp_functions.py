@@ -38,6 +38,8 @@ from .numerics import (
 SERIALIZATION_VERSION = 1
 CONSTRUCTION_TOL = 1e-9
 KNOT_TOL = 1e-8
+FLOOR_STEP = 1e-4  # grid step of the convexity-floor scan in build_fg
+TABLE_STEP = 1e-3  # row spacing of export_table
 
 
 @dataclass(frozen=True)
@@ -358,6 +360,8 @@ class SplicePiece(ScalarC2):
             if ok or band_width < 1e-12:
                 break
             mu *= 0.5
+        else:
+            raise ValidationError(f"splice at {R}: second derivative leaves its band at every ramp width")
 
         # interpolation is linear in the data: A's quintic is a0 + alpha b1 + beta b2
         a2 = PiecewisePoly(spl.breaks, spl.coeffs @ np.array([1.0, alpha, beta]))
@@ -576,42 +580,27 @@ def build_fg(lambda_: float, delta0_hint: float | None = None):
     l2 = Line.tangent_to(tail, B)
     sinh, cosh = Sinh(), Cosh()
 
-    def ok(d0):
-        if d0 <= 0 or d0 >= B:
-            return False
-        for base in (sinh, cosh):
-            l1 = Line.tangent_to(base, d0)
-            if l1.slope >= l2.slope:
-                return False
-            x = line_intersection_x(l1, l2)
-            # crossing must sit strictly inside the interpolation interval
-            if not (d0 < x < B):
-                return False
-        return True
+    def arcs(d0):
+        """The sinh and cosh ellipse arcs over [d0, B], or None where either
+        does not build."""
+        if not 0.0 < d0 < B:
+            return None
+        try:
+            return [interpolate_tangent(Line.tangent_to(base, d0), l2, d0, B) for base in (sinh, cosh)]
+        except (SlopeOrderError, IntersectionOutsideError, OutOfDomainError, ValidationError,
+                np.linalg.LinAlgError):
+            return None
 
-    if ok(hint):
-        delta0 = hint
-    else:
-        lo = hint / 2.0
-        while lo > 1e-12 and not ok(lo):
-            lo /= 2.0
-        if lo <= 1e-12:
+    # delta0 is the hint, or its first halving at which both arcs build
+    delta0 = hint
+    while (built := arcs(delta0)) is None:
+        delta0 /= 2.0
+        if delta0 <= 1e-12:
             raise ValidationError("no admissible delta0 below the hint")
-        hi = hint
-        while hi - lo > 1e-9:
-            mid = 0.5 * (lo + hi)
-            if ok(mid):
-                lo = mid
-            else:
-                hi = mid
-        delta0 = lo
-
     eps = min(1e-2, delta0 / 2.0, lambda_ / 8.0)
     delta = delta0 - eps
 
-    def assemble(base: ScalarC2, base_kind: str) -> SmoothWarpFunction:
-        l1 = Line.tangent_to(base, delta0)
-        arc = interpolate_tangent(l1, l2, delta0, B)
+    def assemble(base: ScalarC2, base_kind: str, arc: EllipseArc) -> SmoothWarpFunction:
         s1 = agol_smooth(base, arc, delta0, eps)
         s2 = agol_smooth(arc, tail, B, eps)
         pieces = [
@@ -625,10 +614,10 @@ def build_fg(lambda_: float, delta0_hint: float | None = None):
             pieces=pieces, lambda_=lambda_, delta=delta, delta0=delta0
         )
 
-    f = assemble(sinh, "sinh")
-    g = assemble(cosh, "cosh")
+    f = assemble(sinh, "sinh", built[0])
+    g = assemble(cosh, "cosh", built[1])
 
-    # convexity floor of g'' sampled on a 1e-4 grid, taking the smaller
+    # convexity floor of g'' sampled on a FLOOR_STEP grid, taking the smaller
     # one-sided value at knots; f gets the analogous floor over (0, 1+lambda]
     g_floor = _grid_second_derivative_min(g, include_zero=True)
     f_floor = _grid_second_derivative_min(f, include_zero=False)
@@ -639,31 +628,17 @@ def build_fg(lambda_: float, delta0_hint: float | None = None):
     return f, g, delta, g_floor
 
 
-def _grid_second_derivative_min(fn: SmoothWarpFunction, include_zero: bool, step=1e-4):
+def _grid_second_derivative_min(fn: SmoothWarpFunction, include_zero: bool):
     lo, hi = fn.domain
-    start = lo if include_zero else lo + step
-    rs = np.arange(start, hi + step / 2, step)
-    vals = np.empty_like(rs)
-    knots = np.asarray(fn.knots)
-    at_knot = np.isclose(rs[:, None], knots[None, :], atol=1e-12).any(axis=1)
-    interior = ~at_knot
-    if interior.any():
-        vals[interior] = fn.d(rs[interior], 2)
-    for i in np.nonzero(at_knot)[0]:
-        r = rs[i]
-        sides = []
-        if r > lo + 1e-12:
-            sides.append(fn.eval(r, 2, side="left"))
-        if r < hi - 1e-12:
-            sides.append(fn.eval(r, 2, side="right"))
-        vals[i] = min(sides)
-    return float(vals.min())
+    rs = np.arange(lo if include_zero else lo + FLOOR_STEP, hi + FLOOR_STEP / 2, FLOOR_STEP)
+    return float(np.minimum(fn.jet(rs, 2, side="left")[2], fn.jet(rs, 2, side="right")[2]).min())
 
 
-def export_table(f: SmoothWarpFunction, g: SmoothWarpFunction, path, step=1e-3):
-    """CSV sampling of both warp functions and their first two derivatives."""
+def export_table(f: SmoothWarpFunction, g: SmoothWarpFunction, path):
+    """CSV sampling of both warp functions and their first two derivatives,
+    every ``TABLE_STEP``."""
     lo, hi = f.domain
-    rs = np.arange(lo, hi + step / 2, step)
+    rs = np.arange(lo, hi + TABLE_STEP / 2, TABLE_STEP)
     rs_in = np.clip(rs, lo + 1e-9, hi - 1e-9)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -7,6 +7,11 @@ from warpfill.warp_engine import WarpedSpace
 from warpfill.warp_functions import build_fg
 
 
+def h2_chart(pt):
+    """Isometry R x_{e^r} E^1 -> upper half-plane, (r, x) -> x + i e^(-r)."""
+    return complex(pt.e[0], np.exp(-pt.r))
+
+
 @pytest.fixture(scope="session")
 def fg_pair():
     """The lambda = 1.6, delta0 = 0.2 warping pair (built once per run)."""

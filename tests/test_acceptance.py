@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import h2_chart
 from warpfill.curvature_lab import cat_test, fd_sectional, fk_convexity, sectional_terms
 from warpfill.filling_topology import (
     INFINITE,
@@ -38,10 +39,6 @@ def report(num, ok, detail, elapsed, budget):
     print(f"[criterion {num}] {status} — {detail} ({elapsed:.1f}s / budget {budget:.0f}s)")
     assert ok, detail
     assert elapsed < budget, f"criterion {num} overran its {budget}s budget ({elapsed:.1f}s)"
-
-
-def _chart_to_halfplane(p):
-    return float(p.e[0]) + 1j * float(np.exp(-p.r))
 
 
 def _sample_triangle(rng, lo, hi, min_sep):
@@ -88,10 +85,10 @@ def test_criterion_2_model_isometry(h2_space):
     while len(errs) < 200:
         p = WPoint(rng.uniform(-1.5, 1.5), [rng.uniform(-1.5, 1.5)])
         q = WPoint(rng.uniform(-1.5, 1.5), [rng.uniform(-1.5, 1.5)])
-        exact = halfplane_distance(_chart_to_halfplane(p), _chart_to_halfplane(q))
+        exact = halfplane_distance(h2_chart(p), h2_chart(q))
         if not 1e-3 < exact <= 5.0:
             continue
-        res = solve_geodesic(h2_space, p, q, n_segments=16, seed=0, refine_tol=5e-5)
+        res = solve_geodesic(h2_space, p, q, n_segments=16, refine_tol=5e-5)
         errs.append(abs(res.distance - exact))
     worst = max(errs)
     report(2, worst < 1e-4, f"200 pairs, max |solver - closed form| = {worst:.2e}",
@@ -187,7 +184,7 @@ def test_criterion_6_fk_convexity(singular_model):
     cosh_ok = fk_convexity(cosh_samples, -1.0, window=0.3).passed
 
     p, q = WPoint(1.2, [-0.5], [0.2]), WPoint(0.9, [0.8], [0.6])
-    res = solve_geodesic(singular_model, p, q, 32, 0, refine_tol=1e-6)
+    res = solve_geodesic(singular_model, p, q, n_segments=32, refine_tol=1e-6)
     core_samples = [
         (t, np.sinh(path_point_at_arclength(singular_model, res.path, t).r))
         for t in np.linspace(0, res.distance, 60)

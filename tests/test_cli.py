@@ -304,3 +304,21 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["warp-build"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["warp-build", "--lambda", "1.6", "--seed", "3"],
+        ["geodesic", "--space", "s.json", "--from", "[0, 0]", "--to", "[0, 1]", "--seed", "3"],
+        ["geodesic", "--space", "s.json", "--from", "[0, 0]", "--to", "[0, 1]", "--format", "csv"],
+        ["cat-test", "--space", "s.json", "--kappa", "-1", "--format", "csv"],
+        ["fk-check", "--data", "d.csv", "--kappa", "-1", "--seed", "3"],
+        ["fk-check", "--data", "d.csv", "--kappa", "-1", "--format", "csv"],
+        ["filling-analyze", "--spec", "f.json", "--seed", "3"],
+        ["filling-analyze", "--spec", "f.json", "--format", "csv"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_flag_the_command_does_not_use_is_rejected(self, argv, capsys):
+        # --seed goes only to the sampling commands and --format only to the
+        # ones with a CSV form; anywhere else it would be silently ignored
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -202,7 +202,7 @@ class TestFkConvexity:
 
         p = WPoint(1.2, [-0.5], [0.2])
         q = WPoint(0.9, [0.8], [0.6])
-        res = solve_geodesic(singular_model, p, q, 32, 0, refine_tol=1e-6)
+        res = solve_geodesic(singular_model, p, q, n_segments=32, refine_tol=1e-6)
         ts = np.linspace(0, res.distance, 60)
         samples = [
             (t, np.sinh(path_point_at_arclength(singular_model, res.path, t).r))

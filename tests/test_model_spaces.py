@@ -69,6 +69,16 @@ class TestHalfplane:
         end = halfplane_geodesic_point(z, w, halfplane_distance(z, w))
         assert halfplane_distance(end, w) <= 1e-12
 
+    def test_far_pair_near_the_axis(self):
+        # 9.4 apart at height 0.05: from z alone, rounding in 1 - u put the
+        # endpoint 1.1e-12 from w
+        z, w = 2.5318187129870457 + 0.05j, -2.8690763657920084 + 0.05j
+        d = halfplane_distance(z, w)
+        assert halfplane_geodesic_point(z, w, d) == w
+        for s in np.linspace(0.0, d, 21):
+            m = halfplane_geodesic_point(z, w, s)
+            assert abs(halfplane_distance(z, m) - s) + abs(halfplane_distance(m, w) - (d - s)) <= 1e-12
+
 
 class TestStripMap:
     def test_basepoint(self):

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from conftest import h2_chart
 from warpfill.errors import OutOfDomainError, SolverFailureError, ValidationError
 from warpfill.model_spaces import LatticeTorus, halfplane_distance, strip_to_halfplane, torus_distance
 from warpfill.numerics import Const, Cosh, ExpShift, LinearR, Sinh, adaptive_gauss
@@ -29,11 +30,6 @@ from warpfill.warp_engine import (
     space_from_json_dict,
     space_to_json_dict,
 )
-
-
-def h2_chart(pt):
-    """Isometry R x_{e^r} E^1 -> upper half-plane, (r, x) -> x + i e^(-r)."""
-    return complex(pt.e[0], np.exp(-pt.r))
 
 
 def straight(p, q, tdim=0):
@@ -118,17 +114,22 @@ class TestSolver:
 
     def test_h2_isometry(self, h2_space):
         p, q = WPoint(0.0, [0.0]), WPoint(0.0, [1.0])
-        res = solve_geodesic(h2_space, p, q, 32, 0)
+        res = solve_geodesic(h2_space, p, q, n_segments=32)
         exact = halfplane_distance(h2_chart(p), h2_chart(q))
         assert res.distance == pytest.approx(exact, abs=1e-4)
 
     def test_distance_equals_path_length(self, h2_space):
-        res = solve_geodesic(h2_space, WPoint(0.2, [0.1]), WPoint(-0.4, [1.3]), 16, 0)
+        res = solve_geodesic(h2_space, WPoint(0.2, [0.1]), WPoint(-0.4, [1.3]), n_segments=16)
         assert res.distance == pytest.approx(path_length(h2_space, res.path), abs=1e-12)
 
+    def test_options_are_keyword_only(self, h2_space):
+        # a seed passed where one used to go must not become refine_tol
+        with pytest.raises(TypeError):
+            solve_geodesic(h2_space, WPoint(0.2, [0.1]), WPoint(-0.4, [1.3]), 16, 0)
+
     def test_deterministic(self, h2_space):
-        a = solve_geodesic(h2_space, WPoint(0.2, [0.1]), WPoint(-0.4, [1.3]), 16, 7)
-        b = solve_geodesic(h2_space, WPoint(0.2, [0.1]), WPoint(-0.4, [1.3]), 16, 7)
+        a = solve_geodesic(h2_space, WPoint(0.2, [0.1]), WPoint(-0.4, [1.3]), n_segments=16)
+        b = solve_geodesic(h2_space, WPoint(0.2, [0.1]), WPoint(-0.4, [1.3]), n_segments=16)
         assert a.distance == b.distance
         assert a.iterations == b.iterations
         for va, vb in zip(a.path.vertices, b.path.vertices):
@@ -136,18 +137,18 @@ class TestSolver:
 
     def test_cone_is_flat_plane(self, cone):
         # polar coordinates: d((1, 0), (1, pi)) = 2, straight through the origin
-        res = solve_geodesic(cone, WPoint(1.0, [], [0.0]), WPoint(1.0, [], [np.pi]), 32, 0)
+        res = solve_geodesic(cone, WPoint(1.0, [], [0.0]), WPoint(1.0, [], [np.pi]), n_segments=32)
         assert res.distance == pytest.approx(2.0, abs=1e-4)
 
     def test_wraparound_uses_deck_shift(self, cone):
         # nearly full turn at large radius: wrapping backwards is shorter
-        res = solve_geodesic(cone, WPoint(8.0, [], [0.1]), WPoint(8.0, [], [2 * np.pi - 0.1]), 16, 0)
+        res = solve_geodesic(cone, WPoint(8.0, [], [0.1]), WPoint(8.0, [], [2 * np.pi - 0.1]), n_segments=16)
         chord = 2 * 8.0 * np.sin(0.1)  # Euclidean chord across the short way
         assert res.distance == pytest.approx(chord, abs=1e-3)
 
     def test_strip_model(self):
         space = WarpedSpace(interval=(0.0, 5.0), euclid_dim=1, warp_g=Cosh())
-        res = solve_geodesic(space, WPoint(0.0, [0.0]), WPoint(1.0, [1.0]), 32, 0)
+        res = solve_geodesic(space, WPoint(0.0, [0.0]), WPoint(1.0, [1.0]), n_segments=32)
         exact = halfplane_distance(strip_to_halfplane(0, 0, 1), strip_to_halfplane(1, 1, 1))
         assert res.distance == pytest.approx(exact, abs=1e-4)
 
@@ -158,10 +159,10 @@ class TestSolver:
         for i in range(len(pts)):
             for j in range(len(pts)):
                 if i != j and (j, i) not in d:
-                    d[(i, j)] = solve_geodesic(h2_space, pts[i], pts[j], 16, 0,
+                    d[(i, j)] = solve_geodesic(h2_space, pts[i], pts[j], n_segments=16,
                                                refine_tol=1e-6).distance
         for (i, j), dij in d.items():
-            dji = solve_geodesic(h2_space, pts[j], pts[i], 16, 0, refine_tol=1e-6).distance
+            dji = solve_geodesic(h2_space, pts[j], pts[i], n_segments=16, refine_tol=1e-6).distance
             assert dji == pytest.approx(dij, abs=2e-6)
         for i in range(4):
             for j in range(4):
@@ -200,7 +201,7 @@ class TestSkewedTorus:
             # theta anywhere in the fundamental cell, so the deck class matters
             p, q = (WPoint(rng.uniform(0.1, 2.0), [rng.uniform(-0.5, 0.5)],
                            rng.uniform(0, 1, torus.dim) @ torus.basis) for _ in range(2))
-            res = solve_geodesic(space, p, q, 16, 0, refine_tol=1e-5)
+            res = solve_geodesic(space, p, q, n_segments=16, refine_tol=1e-5)
             assert res.distance == pytest.approx(cylinder_distance(torus, p, q), abs=1e-4)
 
     @pytest.mark.parametrize("p, q", [
@@ -213,7 +214,7 @@ class TestSkewedTorus:
     ])
     def test_core_route_matches_closed_form(self, singular_model, p, q):
         p, q = (WPoint(r, [e], [th]) for r, e, th in (p, q))
-        res = solve_geodesic(singular_model, p, q, 16, 0, refine_tol=1e-5)
+        res = solve_geodesic(singular_model, p, q, n_segments=16, refine_tol=1e-5)
         assert res.distance == pytest.approx(cylinder_distance(singular_model.torus, p, q), abs=1e-4)
 
 
@@ -251,7 +252,7 @@ class TestNewtonSolver:
         else:
             disc = _core_route(singular_model, WPoint(0.4, [0.2], [0.3]),
                                WPoint(0.6, [-0.4], [3.5]), 8)
-        x = disc.initial(rng)
+        x = disc.initial()
         lo, hi = disc.bounds()
         # move the chain off the straight line; r stays inside
         x += 0.1 * rng.standard_normal(x.size)
@@ -270,17 +271,17 @@ class TestNewtonSolver:
     def test_iteration_cap_is_reported(self, h2_space):
         disc = _Discretization(h2_space, _cover_coords(WPoint(0.0, [0.0])),
                                _cover_coords(WPoint(0.0, [1.0])), 16)
-        _, gnorm, nit, capped, _ = _optimize_chain(disc, np.random.default_rng(0), maxiter=1)
+        _, gnorm, nit, capped, _ = _optimize_chain(disc, maxiter=1)
         assert nit == 1 and capped and gnorm > GRAD_TOL
-        _, gnorm, nit, capped, _ = _optimize_chain(disc, np.random.default_rng(0))
+        _, gnorm, nit, capped, _ = _optimize_chain(disc)
         assert not capped and gnorm <= GRAD_TOL
 
     def test_capped_level_is_not_converged(self, h2_space, monkeypatch):
         monkeypatch.setattr("warpfill.warp_engine._optimize_chain",
-                            lambda disc, rng, x0=None: _optimize_chain(disc, rng, maxiter=1, x0=x0))
+                            lambda disc, x0=None: _optimize_chain(disc, maxiter=1, x0=x0))
         # one Newton step per level: the first level stops at the cap even
         # though later levels end below GRAD_TOL
-        res = solve_geodesic(h2_space, WPoint(0.0, [0.0]), WPoint(0.0, [1.0]), 16, 0)
+        res = solve_geodesic(h2_space, WPoint(0.0, [0.0]), WPoint(0.0, [1.0]), n_segments=16)
         assert not res.converged
 
 
@@ -291,7 +292,7 @@ class TestSingularModel:
 
     def test_radial_minimality(self, singular_model):
         p = WPoint(0.7, [0.3], [1.0])
-        res = solve_geodesic(singular_model, p, WPoint(0.0, [0.3], [0.0]), 16, 0)
+        res = solve_geodesic(singular_model, p, WPoint(0.0, [0.3], [0.0]), n_segments=16)
         assert res.distance == pytest.approx(0.7, abs=1e-6)
 
     def test_core_is_convex(self, singular_model):
@@ -299,7 +300,7 @@ class TestSingularModel:
         for _ in range(10):
             p = WPoint(0.0, [rng.uniform(-1, 1)], [rng.uniform(0, 7)])
             q = WPoint(0.0, [rng.uniform(-1, 1)], [rng.uniform(0, 7)])
-            res = solve_geodesic(singular_model, p, q, 16, 0)
+            res = solve_geodesic(singular_model, p, q, n_segments=16)
             assert max(v.r for v in res.path.vertices) <= 1e-6
             # the geodesic between core points is the Euclidean segment
             assert res.distance == pytest.approx(abs(p.e[0] - q.e[0]), abs=1e-6)
@@ -308,7 +309,7 @@ class TestSingularModel:
         # antipodal torus coordinates force passage through the core
         p = WPoint(0.5, [0.0], [0.0])
         q = WPoint(0.5, [0.0], [3.5])
-        res = solve_geodesic(singular_model, p, q, 16, 0)
+        res = solve_geodesic(singular_model, p, q, n_segments=16)
         assert res.distance <= 1.0 + 1e-6  # down and up is always available
         direct = path_length(singular_model, straight(p, q, tdim=1))
         assert res.distance < direct
@@ -337,7 +338,7 @@ class TestSingularModel:
     def test_log_map_radial(self, singular_model):
         p = WPoint(0.0, [0.3], [0.0])
         x = WPoint(0.9, [0.3], [2.0])
-        radius, (phi, alpha, theta) = log_map(singular_model, p, x, 16, 0)
+        radius, (phi, alpha, theta) = log_map(singular_model, p, x, n_segments=16)
         assert radius == pytest.approx(0.9, abs=1e-6)
         assert phi == np.pi / 2 and alpha is None
         assert theta == pytest.approx([2.0])
@@ -348,7 +349,7 @@ class TestSingularModel:
         images = []
         for _ in range(25):
             x = WPoint(rng.uniform(0.05, 0.3), [rng.uniform(-0.3, 0.3)], [rng.uniform(0, 0.5)])
-            radius, (phi, alpha, theta) = log_map(singular_model, p, x, 16, 0, refine_tol=1e-5)
+            radius, (phi, alpha, theta) = log_map(singular_model, p, x, n_segments=16, refine_tol=1e-5)
             a = alpha[0] if alpha is not None else 0.0
             images.append((radius, phi, a, theta[0]))
         arr = np.array(images)
@@ -376,9 +377,9 @@ class TestAngles:
 
 class TestArclengthAndSerialization:
     def test_point_at_arclength(self, h2_space):
-        res = solve_geodesic(h2_space, WPoint(0.0, [0.0]), WPoint(0.0, [1.0]), 16, 0)
+        res = solve_geodesic(h2_space, WPoint(0.0, [0.0]), WPoint(0.0, [1.0]), n_segments=16)
         mid = path_point_at_arclength(h2_space, res.path, res.distance / 2)
-        d1 = solve_geodesic(h2_space, WPoint(0.0, [0.0]), mid, 16, 0).distance
+        d1 = solve_geodesic(h2_space, WPoint(0.0, [0.0]), mid, n_segments=16).distance
         assert d1 == pytest.approx(res.distance / 2, abs=1e-4)
 
     def test_space_json_roundtrip(self, singular_model):
@@ -396,7 +397,7 @@ class TestArclengthAndSerialization:
         assert np.allclose(space2.f(r), fg_space.f(r), atol=1e-15)
 
     def test_geodesic_result_json(self, h2_space):
-        res = solve_geodesic(h2_space, WPoint(0.0, [0.0]), WPoint(0.0, [0.5]), 16, 0)
+        res = solve_geodesic(h2_space, WPoint(0.0, [0.0]), WPoint(0.0, [0.5]), n_segments=16)
         doc = json.loads(res.dumps())
         assert doc["distance"] == res.distance
         assert len(doc["path"]["vertices"]) == len(res.path.vertices)
@@ -540,7 +541,7 @@ class TestArrayPath:
             space = WarpedSpace(interval=(0.0, 3.0), euclid_dim=1, warp_g=Cosh(), torus=torus, warp_f=Sinh())
             # theta_q - theta_p leaves the cell, so some segments carry a deck shift
             p, q = WPoint(0.8, [0.1], [9.8, 6.2]), WPoint(1.1, [-0.2], [0.3, 0.4])
-        res = solve_geodesic(space, p, q, 16, 0, refine_tol=1e-5)
+        res = solve_geodesic(space, p, q, n_segments=16, refine_tol=1e-5)
         if case == "core_route":
             assert res.path.coords[:, 0].min() == 0.0
         if case == "skewed_t2":
@@ -551,7 +552,7 @@ class TestArrayPath:
         assert path_length(space, rebuilt).hex() == path_length(space, res.path).hex()
 
     def test_point_at_arclength_reuses_the_solve(self, h2_space, monkeypatch):
-        res = solve_geodesic(h2_space, WPoint(0.0, [0.0]), WPoint(0.3, [1.0]), 16, 0)
+        res = solve_geodesic(h2_space, WPoint(0.0, [0.0]), WPoint(0.3, [1.0]), n_segments=16)
         calls = []
 
         def counted(*args, **kwargs):
@@ -581,7 +582,7 @@ class TestArrayPath:
         assert path_length(h2_space, path) > path_length(flat, path)
 
     def test_arrays_are_read_only(self, singular_model):
-        res = solve_geodesic(singular_model, WPoint(0.5, [0.0], [1.0]), WPoint(1.0, [0.2], [6.5]), 16, 0)
+        res = solve_geodesic(singular_model, WPoint(0.5, [0.0], [1.0]), WPoint(1.0, [0.2], [6.5]), n_segments=16)
         built = straight(WPoint(0.5, [0.0], [1.0]), WPoint(1.0, [0.2], [6.5]), tdim=1)
         for path in (res.path, built):
             with pytest.raises(ValueError):
@@ -591,8 +592,8 @@ class TestArrayPath:
 
     def test_log_map_rejects_an_unconverged_solve(self, h2_space, monkeypatch):
         p, x = WPoint(0.0, [0.0]), WPoint(0.3, [0.4])
-        res = solve_geodesic(h2_space, p, x, 16, 0)
+        res = solve_geodesic(h2_space, p, x, n_segments=16)
         monkeypatch.setattr("warpfill.warp_engine.solve_geodesic", lambda *args, **kwargs: GeodesicResult(
             res.distance, res.path, False, res.iterations, 1e-3))
         with pytest.raises(SolverFailureError):
-            log_map(h2_space, p, x, 16, 0)
+            log_map(h2_space, p, x, n_segments=16)

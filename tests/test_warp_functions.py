@@ -281,6 +281,25 @@ class TestBuildFG:
         assert np.min(f.d(r, 0)) >= 0
         assert np.min(g.d(r, 0)) > 0
 
+    @pytest.mark.parametrize("lam", [0.05, 0.1, 0.2, 0.3, 0.4])
+    def test_small_lambdas_assemble_or_refuse(self, lam):
+        # the default hint 0.2 is too large for these; delta0 is its first
+        # halving at which both ellipse arcs build.  Where none does, or the
+        # first one is too small for a splice to stay convex, build_fg says so
+        try:
+            f, g, delta, floor = build_fg(lam)
+        except ValidationError as exc:
+            assert "no admissible delta0" in str(exc) or "leaves its band" in str(exc)
+            return
+        assert 0 < delta < f.delta0 < 1 + lam / 2
+        assert floor > 0 and f.convexity_floor > 0
+        for w in (f, g):
+            # the splice windows are sampled too: they can be narrower than
+            # any uniform grid's step
+            r = np.concatenate([np.linspace(0, 1 + lam, 2000)[1:]] + [
+                np.linspace(p.lo, p.hi, 201) for p in w.pieces if p.kind == "mollified_splice"])
+            assert np.min(w.d(r, 2)) > 0
+
     def test_out_of_domain(self, fg_pair):
         with pytest.raises(OutOfDomainError):
             fg_pair["f"].eval(2.61)
