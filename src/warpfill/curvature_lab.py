@@ -161,14 +161,14 @@ def _christoffel(g, dg):
     return 0.5 * np.einsum("...lm,...mij->...lij", np.linalg.inv(g), bracket)
 
 
-def fd_sectional(space: WarpedSpace, point: WPoint, plane: tuple, h: float = FD_STEP_METRIC) -> float:
+def fd_sectional(space: WarpedSpace, point: WPoint, plane: tuple) -> float:
     """Sectional curvature of a coordinate 2-plane, from the metric alone.
 
     Chart coordinates are (r, e_1..e_k, theta_1..theta_tdim); the metric is
     diagonal.  Christoffels and their derivatives come from Richardson-
-    extrapolated central differences with step ``h``.  The metric is
-    evaluated twice: at x and its eight offsets along axes i and j, and at
-    the 4n stencil points around each of those nine.
+    extrapolated central differences with step h = ``FD_STEP_METRIC``.  The
+    metric is evaluated twice: at x and its eight offsets along axes i and j,
+    and at the 4n stencil points around each of those nine.
     """
     space.check_point(point)
     if space.torus is not None and float(space.f(point.r)) < 1e-8:
@@ -178,6 +178,7 @@ def fd_sectional(space: WarpedSpace, point: WPoint, plane: tuple, h: float = FD_
     if not (0 <= i < n and 0 <= j < n and i != j):
         raise ValidationError(f"plane {plane} invalid for chart dimension {n}")
     x = np.concatenate(([point.r], point.e, point.theta))
+    h = FD_STEP_METRIC
 
     # x, then x shifted by each of +h, -h, +h/2, -h/2 along i and along j
     base = np.concatenate((x[None], (x + _offsets(h, (i, j), n)).reshape(8, n)))
@@ -285,10 +286,10 @@ def cat_test(
     space: WarpedSpace,
     vertices,
     kappa: float,
+    *,
     param_samples: int = 16,
     seed: int = 0,
     n_segments: int = 32,
-    tolerance: float = CAT_TOL,
     refine_tol: float = 1e-5,
 ) -> ComparisonReport:
     """Compare the triangle on ``vertices`` against its S_kappa comparison.
@@ -329,7 +330,7 @@ def cat_test(
         if violation > max_violation:
             max_violation = violation
             worst = records[-1]
-    return ComparisonReport(float(kappa), float(max_violation), worst, tuple(records), tolerance)
+    return ComparisonReport(float(kappa), float(max_violation), worst, tuple(records))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ sentinel, never a number.
 
 from __future__ import annotations
 
-import json
 import numbers
 import warnings
 from dataclasses import dataclass, field
@@ -365,9 +364,6 @@ class InvariantReport:
             "flags": self.flags,
             "note": "shell schedules are model assumptions, not derived geometry",
         }
-
-    def dumps(self):
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
     def render(self):
         lines = [f"filling: n = {self.n} (manifold dimension {self.n + 1}), s = {self.s}"]

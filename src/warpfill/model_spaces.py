@@ -11,7 +11,6 @@ are measured against, so nothing in this module may depend on warp_engine.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -216,9 +215,6 @@ class LatticeTorus:
         if "dim" in d and int(d["dim"]) != t.dim:
             raise ValidationError(f"dim field {d['dim']} != basis size {t.dim}")
         return t
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 def torus_distance(T: LatticeTorus, x, y) -> float:

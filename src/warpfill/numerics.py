@@ -16,11 +16,10 @@ def _is_number(x) -> bool:
 class ScalarC2:
     """A real function of one real variable with derivatives up to order 2.
 
-    Subclasses override ``d(r, order)`` or ``jet(r, n)``, vectorized over
-    numpy arrays; each defaults to the other.  ``jet`` returns the orders
-    0..n together, so subclasses that can share work between the orders
-    override it.  Entries of a jet may share memory (sinh is its own second
-    derivative), so callers do not write into them.
+    Subclasses implement ``jet(r, n)``, vectorized over numpy arrays: the
+    orders 0..n together, so that the orders share their work.  ``d`` reads
+    one order of it.  Entries of a jet may share memory (sinh is its own
+    second derivative), so callers do not write into them.
     """
 
     def d(self, r, order=0):
@@ -28,7 +27,7 @@ class ScalarC2:
 
     def jet(self, r, n=2):
         """[d(r, 0), ..., d(r, n)]."""
-        return [self.d(r, order) for order in range(n + 1)]
+        raise NotImplementedError(f"{type(self).__name__} implements no jet")
 
     def __call__(self, r):
         return self.d(r, 0)
@@ -69,13 +68,9 @@ class LinearR(ScalarC2):
 
     name = "linear_r"
 
-    def d(self, r, order=0):
+    def jet(self, r, n=2):
         r = np.asarray(r, dtype=float)
-        if order == 0:
-            return r + 0.0
-        if order == 1:
-            return np.ones_like(r)
-        return np.zeros_like(r)
+        return [r + 0.0, np.ones_like(r), np.zeros_like(r)][:n + 1]
 
 
 class Const(ScalarC2):
@@ -84,11 +79,9 @@ class Const(ScalarC2):
     def __init__(self, value=1.0):
         self.value = float(value)
 
-    def d(self, r, order=0):
+    def jet(self, r, n=2):
         r = np.asarray(r, dtype=float)
-        if order == 0:
-            return np.full_like(r, self.value)
-        return np.zeros_like(r)
+        return [np.full_like(r, self.value)] + [np.zeros_like(r)] * n
 
 
 class ScaledExp(ScalarC2):
@@ -99,8 +92,9 @@ class ScaledExp(ScalarC2):
     def __init__(self, c=1.0):
         self.c = float(c)
 
-    def d(self, r, order=0):
-        return np.exp(np.asarray(r, dtype=float) / self.c) / self.c**order
+    def jet(self, r, n=2):
+        e = np.exp(np.asarray(r, dtype=float) / self.c)
+        return [e / self.c**order for order in range(n + 1)]
 
 
 ANALYTIC_REGISTRY = {

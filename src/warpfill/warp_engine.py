@@ -14,8 +14,6 @@ doubled across r_min, unfolded back into the space.
 
 from __future__ import annotations
 
-import inspect
-import json
 import numbers
 import warnings
 from collections import namedtuple
@@ -34,8 +32,8 @@ from .errors import (
 )
 from .lattice import closest_vector
 from .model_spaces import LatticeTorus, torus_distance
-from .numerics import ANALYTIC_REGISTRY, ScalarC2, _is_number, adaptive_gauss, as_scalar_c2
-from .warp_functions import SmoothWarpFunction
+from .numerics import ScalarC2, _is_number, adaptive_gauss, as_scalar_c2
+from .warp_functions import warp_from_json_dict, warp_to_json_dict
 
 __all__ = [
     "WarpedSpace",
@@ -57,6 +55,7 @@ SINGULAR_TOL = 1e-12
 GRAD_TOL = 1e-8
 REFINE_TOL = 1e-7
 MAX_SEGMENTS = 1024
+ANGLE_SCALES = (0.2, 0.1, 0.05, 0.025)  # alexandrov_angle's comparison scales
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +258,6 @@ class GeodesicResult:
             "path": self.path.to_json_dict(),
         }
 
-    def dumps(self):
-        return json.dumps(self.to_json_dict(), indent=2)
-
 
 # ---------------------------------------------------------------------------
 # path length
@@ -315,8 +311,12 @@ def _segment_lengths(space: WarpedSpace, path: PolylinePath) -> np.ndarray:
 
         # piecewise warps are only C^1 at their knots; across one, a panel can
         # pass the error test while off by ~1e-11 relative, so segments are
-        # cut at every knot they cross
-        cuts = (_warp_knots(space) - r[curved, None]) / dr[curved, None]
+        # cut at every knot they cross.  Only a knot strictly inside a segment
+        # is divided by its dr, which can be subnormal; a quotient that rounds
+        # to 0 or 1 is still no cut
+        ahead = (_warp_knots(space) - r[curved, None]) * np.sign(dr[curved, None])
+        step = np.abs(dr[curved, None])
+        cuts = np.divide(ahead, step, out=np.full(ahead.shape, np.nan), where=(ahead > 0.0) & (ahead < step))
         cuts = np.where((cuts > 0.0) & (cuts < 1.0), cuts, np.nan)
         column = np.ones((curved.size, 1))
         edges = np.sort(np.hstack((0.0 * column, cuts, column)), axis=1)  # unused cuts (nan) go last
@@ -757,12 +757,12 @@ def alexandrov_angle(
     q1: WPoint,
     q2: WPoint,
     *,
-    scales=(0.2, 0.1, 0.05, 0.025),
     n_segments: int = 64,
     refine_tol: float = 1e-6,
 ):
     """Upper angle at p between [p,q1] and [p,q2], by Euclidean comparison
-    angles at shrinking scales plus one-step Richardson extrapolation.
+    angles at the shrinking scales ``ANGLE_SCALES`` plus one-step Richardson
+    extrapolation.
 
     The convergence order of the comparison angles is not known a priori;
     the extrapolation assumes first order in the scale.  Only the
@@ -778,7 +778,7 @@ def alexandrov_angle(
     tmax = min(g1.distance, g2.distance)
     angles = []
     used = []
-    for t in scales:
+    for t in ANGLE_SCALES:
         if t > tmax:
             continue
         x1 = path_point_at_arclength(space, g1.path, t)
@@ -831,40 +831,13 @@ def log_map(space: WarpedSpace, p: WPoint, x: WPoint, *, n_segments: int = 64,
 # serialization
 # ---------------------------------------------------------------------------
 
-def _warp_to_json(w):
-    if isinstance(w, SmoothWarpFunction):
-        return w.to_json_dict()
-    name = getattr(w, "name", None)
-    if name in ANALYTIC_REGISTRY:
-        params = {}
-        for attr in ("shift", "value", "c"):
-            if hasattr(w, attr):
-                params[attr] = getattr(w, attr)
-        doc = {"analytic": name}
-        if params:
-            doc["params"] = params
-        return doc
-    raise ValidationError(f"cannot serialize warp handle {w!r}")
-
-
-def _warp_from_json(doc):
-    if "analytic" not in doc:
-        return SmoothWarpFunction.from_json_dict(doc)
-    name, params = doc["analytic"], doc.get("params", {})
-    cls = ANALYTIC_REGISTRY.get(name) if isinstance(name, str) else None
-    if not (cls and isinstance(params, dict) and all(map(_is_number, params.values()))
-            and params.keys() <= inspect.signature(cls).parameters.keys()):
-        raise ValidationError(f"analytic warp {name!r} is not registered or does not take params {params!r}")
-    return cls(**params)
-
-
 def space_to_json_dict(space: WarpedSpace) -> dict:
     return {
         "interval": list(space.interval),
         "euclid_dim": space.euclid_dim,
-        "warp_g": _warp_to_json(space.warp_g),
+        "warp_g": warp_to_json_dict(space.warp_g),
         "torus": space.torus.to_json_dict() if space.torus else None,
-        "warp_f": _warp_to_json(space.warp_f) if space.warp_f is not None else None,
+        "warp_f": warp_to_json_dict(space.warp_f) if space.warp_f is not None else None,
     }
 
 
@@ -877,11 +850,11 @@ def space_from_json_dict(doc: dict) -> WarpedSpace:
         raise ValidationError('a space is an object with an "interval" of two numbers, an integer '
                               '"euclid_dim", a "warp_g" object and optional "torus" and "warp_f" objects')
     torus = LatticeTorus.from_json_dict(doc["torus"]) if doc.get("torus") else None
-    warp_f = _warp_from_json(doc["warp_f"]) if doc.get("warp_f") else None
+    warp_f = warp_from_json_dict(doc["warp_f"]) if doc.get("warp_f") else None
     return WarpedSpace(
         interval=tuple(doc["interval"]),
         euclid_dim=int(doc["euclid_dim"]),
-        warp_g=_warp_from_json(doc["warp_g"]),
+        warp_g=warp_from_json_dict(doc["warp_g"]),
         torus=torus,
         warp_f=warp_f,
     )

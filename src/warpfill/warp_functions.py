@@ -10,7 +10,7 @@ spanned by the one-sided second derivatives at the corner.
 from __future__ import annotations
 
 import csv
-import json
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -25,6 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .numerics import (
+    ANALYTIC_REGISTRY,
     Cosh,
     ExpShift,
     ScalarC2,
@@ -91,11 +92,10 @@ class EllipseArc(ScalarC2):
 
     name = "ellipse_arc"
 
-    def __init__(self, affine_map: np.ndarray, domain: tuple[float, float], convexity_floor: float):
+    def __init__(self, affine_map: np.ndarray, convexity_floor: float):
         self.affine_map = np.asarray(affine_map, dtype=float)
         if self.affine_map.shape != (2, 3):
             raise ValidationError("affine_map must be 2x3")
-        self.domain = (float(domain[0]), float(domain[1]))
         self.convexity_floor = float(convexity_floor)
         (n00, n01), (n10, n11) = np.linalg.inv(self.affine_map[:, :2]).tolist()
         p0, p1 = self.affine_map[:, 2].tolist()
@@ -159,7 +159,7 @@ def interpolate_tangent(l1: Line, l2: Line, A: float, B: float) -> EllipseArc:
     Q1 = np.array([A, float(l1(A))])
     Q2 = np.array([B, float(l2(B))])
     L = np.column_stack([Q2 - P, Q1 - P])
-    arc = EllipseArc(np.column_stack([L, P]), (A, B), convexity_floor=0.0)
+    arc = EllipseArc(np.column_stack([L, P]), convexity_floor=0.0)
 
     # tangency sanity at construction time
     for x0, line in ((A, l1), (B, l2)):
@@ -303,15 +303,12 @@ class SplicePiece(ScalarC2):
 
     name = "mollified_splice"
 
-    def __init__(self, b: ScalarC2, c: ScalarC2, R: float, eps: float, trivial: bool = False):
+    def __init__(self, b: ScalarC2, c: ScalarC2, R: float, eps: float):
         self.b = b
         self.c = c
         self.R = float(R)
         self.eps = float(eps)
         self.lo = self.R - self.eps
-        self.trivial = trivial
-        if trivial:
-            return
         self._build()
 
     def _band(self):
@@ -349,7 +346,7 @@ class SplicePiece(ScalarC2):
             try:
                 alpha, beta = np.linalg.solve(mat, rhs)
             except np.linalg.LinAlgError:
-                # d'' vanishes identically: any weight works, no correction
+                # d'' vanishes identically (b = c): any weight works, no correction
                 alpha = beta = 0.0
 
             A = b2 + (w0 + alpha * p1 + beta * p2) * d2
@@ -377,8 +374,6 @@ class SplicePiece(ScalarC2):
     def jet(self, r, n=2):
         _check_order(n)
         r = np.asarray(r, dtype=float)
-        if self.trivial:
-            return self.b.jet(r, n)
         out = [np.empty_like(r) for _ in range(n + 1)]
         left = r < self.lo
         right = r > self.R
@@ -406,19 +401,75 @@ def agol_smooth(b_piece, c_piece, R: float, eps: float) -> SplicePiece:
         raise MismatchError(f"values at {R} differ")
     if abs(float(b.d(R, 1)) - float(c.d(R, 1))) > CONSTRUCTION_TOL:
         raise MismatchError(f"slopes at {R} differ")
-    probe = np.linspace(R - eps, R, 41)
-    same = (
-        np.max(np.abs(b.d(probe, 0) - c.d(probe, 0))) < 1e-13
-        and abs(float(b.d(R, 2)) - float(c.d(R, 2))) < 1e-13
-    )
-    return SplicePiece(b, c, R, eps, trivial=bool(same))
+    return SplicePiece(b, c, R, eps)
+
+
+# ---------------------------------------------------------------------------
+# the warp codec
+# ---------------------------------------------------------------------------
+
+# Every warp a document can name, by its ``name``.  A warp keeps each
+# constructor argument in the attribute of the same name, so its parameters
+# are its constructor signature.  Splices are not here: a document gives
+# only their "eps", and they are rebuilt from their neighbours.
+WARPS = {cls.name: cls for cls in (*ANALYTIC_REGISTRY.values(), EllipseArc)}
+
+
+def _is_numeric(x) -> bool:
+    """A real number, or a list of them nested to any depth; bools are not
+    numbers."""
+    return _is_number(x) or (isinstance(x, list) and all(map(_is_numeric, x)))
+
+
+def warp_params(fn: ScalarC2) -> dict:
+    """The constructor arguments of the registered warp ``fn``, as JSON values."""
+    if WARPS.get(getattr(fn, "name", None)) is not type(fn):
+        raise ValidationError(f"cannot serialize warp handle {fn!r}")
+    params = {}
+    for key in inspect.signature(type(fn)).parameters:
+        value = getattr(fn, key)
+        params[key] = value.tolist() if isinstance(value, np.ndarray) else value
+    return params
+
+
+def make_warp(name, params) -> ScalarC2:
+    """The registered warp ``name`` built from ``params``.  The name must be
+    registered, every value must be numeric (``_is_numeric``) and the
+    constructor must accept them; anything else is a ValidationError."""
+    cls = WARPS.get(name) if isinstance(name, str) else None
+    if cls is None:
+        raise ValidationError(f"unknown warp {name!r}; known: {sorted(WARPS)}")
+    if not all(map(_is_numeric, params.values())):
+        raise ValidationError(f"warp {name!r}: every parameter must be a number or a list of numbers")
+    try:
+        return cls(**params)
+    except TypeError as exc:  # a key outside the signature, or a list for a number
+        raise ValidationError(f"warp {name!r} takes {list(inspect.signature(cls).parameters)}: {exc}") from None
+
+
+def warp_to_json_dict(fn: ScalarC2) -> dict:
+    """A space document's warp: a ``SmoothWarpFunction``'s pieces, or
+    {"analytic": name, "params": {...}} with "params" left out when empty."""
+    if isinstance(fn, SmoothWarpFunction):
+        return fn.to_json_dict()
+    params = warp_params(fn)
+    return {"analytic": fn.name, **({"params": params} if params else {})}
+
+
+def warp_from_json_dict(doc: dict) -> ScalarC2:
+    """The inverse of ``warp_to_json_dict``."""
+    if "analytic" not in doc:
+        return SmoothWarpFunction.from_json_dict(doc)
+    params = doc.get("params", {})
+    if not (doc.keys() <= {"analytic", "params"} and isinstance(params, dict)):
+        raise ValidationError('an analytic warp is {"analytic": name, "params": {...}}')
+    return make_warp(doc["analytic"], params)
 
 
 @dataclass
 class Piece:
     lo: float
     hi: float
-    kind: str
     fn: ScalarC2
 
 
@@ -434,7 +485,7 @@ class SmoothWarpFunction(ScalarC2):
     delta: float
     delta0: float
     convexity_floor: float = 0.0
-    knots: list[float] = field(default_factory=list)
+    knots: list[float] = field(init=False)
 
     def __post_init__(self):
         if not self.pieces:
@@ -485,15 +536,8 @@ class SmoothWarpFunction(ScalarC2):
     def to_json_dict(self):
         pieces = []
         for p in self.pieces:
-            entry = {"kind": p.kind, "interval": [p.lo, p.hi]}
-            if p.kind == "ellipse_arc":
-                entry["affine_map"] = p.fn.affine_map.tolist()
-                entry["convexity_floor"] = p.fn.convexity_floor
-            elif p.kind == "exp_shift":
-                entry["shift"] = p.fn.shift
-            elif p.kind == "mollified_splice":
-                entry["eps"] = p.fn.eps
-            pieces.append(entry)
+            params = {"eps": p.fn.eps} if isinstance(p.fn, SplicePiece) else warp_params(p.fn)
+            pieces.append({"kind": p.fn.name, "interval": [p.lo, p.hi], **params})
         return {
             "version": SERIALIZATION_VERSION,
             "pieces": pieces,
@@ -511,58 +555,34 @@ class SmoothWarpFunction(ScalarC2):
         raw = doc.get("pieces")
         if not (isinstance(raw, list) and all(isinstance(entry, dict) for entry in raw)):
             raise ValidationError('"pieces" must be a list of objects')
+        fns: list[ScalarC2 | None] = []
         for entry in raw:
             interval = entry.get("interval")
             if not (isinstance(interval, list) and len(interval) == 2 and all(map(_is_number, interval))):
                 raise ValidationError(f'piece {entry.get("kind")!r} needs an "interval" of two numbers')
-        fns: list[ScalarC2 | None] = []
-        for entry in raw:
-            kind = entry["kind"]
-            if kind == "sinh":
-                fns.append(Sinh())
-            elif kind == "cosh":
-                fns.append(Cosh())
-            elif kind == "exp_shift":
-                fns.append(ExpShift(entry["shift"]))
-            elif kind == "ellipse_arc":
-                fns.append(
-                    EllipseArc(
-                        np.asarray(entry["affine_map"]),
-                        tuple(entry["interval"]),
-                        entry["convexity_floor"],
-                    )
-                )
-            elif kind == "mollified_splice":
+            params = {key: value for key, value in entry.items() if key not in ("kind", "interval")}
+            if entry.get("kind") != SplicePiece.name:
+                fns.append(make_warp(entry.get("kind"), params))
+            elif params.keys() == {"eps"} and _is_number(params["eps"]):
                 fns.append(None)  # rebuilt from neighbors below
             else:
-                raise ValidationError(f"unknown piece kind {kind}")
+                raise ValidationError('a splice piece takes exactly one number, "eps"')
+        scalars = ("lambda", "delta", "delta0", "kappa_floor")
+        if not (doc.keys() <= {"version", "pieces", "knots", *scalars}
+                and all(_is_number(doc.get(key)) for key in scalars)):
+            raise ValidationError(f'a warp function has "version", "pieces", "knots" and the numbers {scalars}')
         for i, (entry, fn) in enumerate(zip(raw, fns)):
             if fn is None:
                 if i == 0 or i == len(fns) - 1 or fns[i - 1] is None or fns[i + 1] is None:
                     raise ValidationError("splice piece without analytic neighbors")
-                fns[i] = agol_smooth(
-                    fns[i - 1], fns[i + 1], entry["interval"][1], entry["eps"]
-                )
-        pieces = [
-            Piece(entry["interval"][0], entry["interval"][1], entry["kind"], fn)
-            for entry, fn in zip(raw, fns)
-        ]
+                fns[i] = agol_smooth(fns[i - 1], fns[i + 1], entry["interval"][1], entry["eps"])
         return cls(
-            pieces=pieces,
+            pieces=[Piece(*entry["interval"], fn) for entry, fn in zip(raw, fns)],
             lambda_=doc["lambda"],
             delta=doc["delta"],
             delta0=doc["delta0"],
             convexity_floor=doc["kappa_floor"],
         )
-
-    def dump(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 def build_fg(lambda_: float, delta0_hint: float | None = None):
@@ -600,22 +620,22 @@ def build_fg(lambda_: float, delta0_hint: float | None = None):
     eps = min(1e-2, delta0 / 2.0, lambda_ / 8.0)
     delta = delta0 - eps
 
-    def assemble(base: ScalarC2, base_kind: str, arc: EllipseArc) -> SmoothWarpFunction:
+    def assemble(base: ScalarC2, arc: EllipseArc) -> SmoothWarpFunction:
         s1 = agol_smooth(base, arc, delta0, eps)
         s2 = agol_smooth(arc, tail, B, eps)
         pieces = [
-            Piece(0.0, delta0 - eps, base_kind, base),
-            Piece(delta0 - eps, delta0, "mollified_splice", s1),
-            Piece(delta0, B - eps, "ellipse_arc", arc),
-            Piece(B - eps, B, "mollified_splice", s2),
-            Piece(B, 1.0 + lambda_, "exp_shift", tail),
+            Piece(0.0, delta0 - eps, base),
+            Piece(delta0 - eps, delta0, s1),
+            Piece(delta0, B - eps, arc),
+            Piece(B - eps, B, s2),
+            Piece(B, 1.0 + lambda_, tail),
         ]
         return SmoothWarpFunction(
             pieces=pieces, lambda_=lambda_, delta=delta, delta0=delta0
         )
 
-    f = assemble(sinh, "sinh", built[0])
-    g = assemble(cosh, "cosh", built[1])
+    f = assemble(sinh, built[0])
+    g = assemble(cosh, built[1])
 
     # convexity floor of g'' sampled on a FLOOR_STEP grid, taking the smaller
     # one-sided value at knots; f gets the analogous floor over (0, 1+lambda]

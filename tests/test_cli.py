@@ -266,6 +266,24 @@ H2_DOC = {"interval": [-6.0, 6.0], "euclid_dim": 1, "torus": None, "warp_f": Non
 FILLING_DOC = filling_to_json_dict(axis_filling(3, [1]))
 
 
+def _piece(warp, kind):
+    """The first piece of ``kind`` in a warp-function document."""
+    return next(piece for piece in warp["pieces"] if piece["kind"] == kind)
+
+
+# edits that make fg_space's warp_g document malformed
+FG_WARP_EDITS = {
+    "delta_string": lambda w: w.update(delta="0.1"),
+    "lambda_null": lambda w: w.update({"lambda": None}),
+    "kappa_floor_string": lambda w: w.update(kappa_floor="x"),
+    "splice_eps_string": lambda w: _piece(w, "mollified_splice").update(eps="0.01"),
+    "splice_extra_key": lambda w: _piece(w, "mollified_splice").update(bogus=1.0),
+    "shift_bool": lambda w: _piece(w, "exp_shift").update(shift=True),
+    "shift_string": lambda w: _piece(w, "exp_shift").update(shift="1.0"),
+    "ellipse_arc_extra_key": lambda w: _piece(w, "ellipse_arc").update(bogus=1.0),
+}
+
+
 class TestMalformedDocuments:
     @pytest.mark.parametrize("flag, doc", [
         ("--space", {**H2_DOC, "interval": 5}),
@@ -288,6 +306,18 @@ class TestMalformedDocuments:
             argv = ["geodesic", "--space", str(path), "--from", "[0, 0]", "--to", "[0, 1]", "--samples", "8"]
         else:
             argv = ["filling-analyze", "--spec", str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("edit", FG_WARP_EDITS.values(), ids=FG_WARP_EDITS.keys())
+    def test_warp_function_is_input_error(self, tmp_path, capsys, fg_space, edit):
+        doc = space_to_json_dict(fg_space)
+        edit(doc["warp_g"])
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        argv = ["geodesic", "--space", str(path), "--from", "[1, 0, 0]", "--to", "[1.2, 0.3, 2]", "--samples", "8"]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert "error:" in captured.err and "Traceback" not in captured.err

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import warpfill
 from warpfill.filling_topology import filling_from_json_dict
-from warpfill.warp_engine import space_from_json_dict
+from warpfill.warp_engine import space_from_json_dict, space_to_json_dict
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -33,6 +33,14 @@ def test_make_spaces_writes_loadable_files(tmp_path):
         space_from_json_dict(json.loads((tmp_path / name).read_text()))
     for name in fillings:
         filling_from_json_dict(json.loads((tmp_path / name).read_text()))
+
+
+def test_make_spaces_documents_round_trip(tmp_path):
+    proc = run_script("make_spaces.py", "--out-dir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    for name in ("h2.json", "flat.json", "fg_space.json"):
+        doc = json.loads((tmp_path / name).read_text())
+        assert space_to_json_dict(space_from_json_dict(doc)) == doc, name
 
 
 def test_filling_survey_runs():
@@ -63,3 +71,18 @@ def test_geodesic_digest_is_one_stable_line_per_seed():
     assert cat.returncode == 0, cat.stderr
     assert cat.stdout.split()[:11] == ["filling_cat", "seed", "5", "rounds", "1", "ops", "1", "failed", "0", "at", "-"]
     assert len(cat.stdout.split()[-1]) == 64
+
+
+def test_bench_trajectory_writes_the_summary(tmp_path):
+    proc = run_script("bench_trajectory.py", "--tag", "smoke", "--workloads", "invariants",
+                      "--seeds", "7", "--seconds", "1", "--out-dir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    assert doc.keys() == {"tag", "git_head", "dirty", "seconds", "machine", "workloads"}
+    assert list(doc["workloads"]) == ["invariants"]
+    entry = doc["workloads"]["invariants"]
+    assert entry.keys() == {"setup_s", "ops_per_s", "peak_rss_mb", "failed", "attempted", "correct", "seeds"}
+    for name in ("setup_s", "ops_per_s", "peak_rss_mb"):
+        assert entry[name]["q1"] <= entry[name]["median"] <= entry[name]["q3"]
+    assert entry["failed"] == 0 and entry["attempted"] > 0
+    assert entry["correct"] == [True] and entry["seeds"] == [7]

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -398,7 +399,7 @@ class TestArclengthAndSerialization:
 
     def test_geodesic_result_json(self, h2_space):
         res = solve_geodesic(h2_space, WPoint(0.0, [0.0]), WPoint(0.0, [0.5]), n_segments=16)
-        doc = json.loads(res.dumps())
+        doc = json.loads(json.dumps(res.to_json_dict()))
         assert doc["distance"] == res.distance
         assert len(doc["path"]["vertices"]) == len(res.path.vertices)
 
@@ -505,6 +506,14 @@ class TestBatchedQuadrature:
         end = path_point_at_arclength(singular_model, path, total)
         assert singular_model.points_equal(start, path.vertices[0], tol=1e-12)
         assert singular_model.points_equal(end, path.vertices[-1], tol=1e-9)
+
+    def test_subnormal_dr_cuts_no_knot(self, fg_space):
+        # a knot cut divided by dr = 5e-324 overflowed; the segment is level
+        # to rounding at r = 0, where g = 1 and f = 0
+        path = straight(WPoint(0.0, [0.0], [0.0]), WPoint(5e-324, [0.1], [0.2]), tdim=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert path_length(fg_space, path) == pytest.approx(0.1, rel=1e-14)
 
     def test_batched_panels_bisect_a_narrow_peak(self):
         calls = []

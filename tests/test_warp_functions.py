@@ -12,7 +12,7 @@ from warpfill.errors import (
     SlopeOrderError,
     ValidationError,
 )
-from warpfill.numerics import ANALYTIC_REGISTRY, Cosh, ExpShift, Sinh, as_scalar_c2
+from warpfill.numerics import ANALYTIC_REGISTRY, Cosh, ExpShift, ScalarC2, Sinh, as_scalar_c2
 from warpfill.warp_engine import WarpedSpace
 from warpfill.warp_functions import (
     CONSTRUCTION_TOL,
@@ -81,7 +81,6 @@ class TestInterpolateTangent:
 class TestAgolSmooth:
     def test_trivial_when_pieces_agree(self):
         sp = agol_smooth(Sinh(), Sinh(), 0.5, 0.01)
-        assert sp.trivial
         r = np.linspace(0.49, 0.5, 50)
         assert np.allclose(sp.d(r, 0), np.sinh(r))
 
@@ -93,7 +92,7 @@ class TestAgolSmooth:
         for w in (fg_pair["f"], fg_pair["g"]):
             for piece in w.pieces:
                 fn = piece.fn
-                if getattr(fn, "trivial", True) is not False:
+                if fn.name != "mollified_splice":
                     continue
                 R, eps = fn.R, fn.eps
                 b2, c2 = fn.b.d(R, 2), fn.c.d(R, 2)
@@ -106,12 +105,12 @@ class TestAgolSmooth:
 
 
 def _splices(fg_pair):
-    """The non-trivial splice pieces of f and g."""
+    """The splice pieces of f and g."""
     return [
         piece.fn
         for w in (fg_pair["f"], fg_pair["g"])
         for piece in w.pieces
-        if getattr(piece.fn, "trivial", True) is False
+        if piece.fn.name == "mollified_splice"
     ]
 
 
@@ -226,6 +225,13 @@ class TestJet:
         with pytest.raises(ValidationError):
             fg_pair["f"].jet(0.5, 3)
 
+    def test_warp_without_jet_is_refused(self):
+        class NoJet(ScalarC2):
+            pass
+
+        with pytest.raises(NotImplementedError):
+            NoJet().d(1.0)
+
 
 # ---------------------------------------------------------------------------
 # the assembled pair
@@ -297,7 +303,7 @@ class TestBuildFG:
             # the splice windows are sampled too: they can be narrower than
             # any uniform grid's step
             r = np.concatenate([np.linspace(0, 1 + lam, 2000)[1:]] + [
-                np.linspace(p.lo, p.hi, 201) for p in w.pieces if p.kind == "mollified_splice"])
+                np.linspace(p.lo, p.hi, 201) for p in w.pieces if p.fn.name == "mollified_splice"])
             assert np.min(w.d(r, 2)) > 0
 
     def test_out_of_domain(self, fg_pair):
@@ -312,12 +318,10 @@ class TestBuildFG:
 # ---------------------------------------------------------------------------
 
 class TestSerialization:
-    def test_roundtrip_exact(self, fg_pair, tmp_path):
+    def test_roundtrip_exact(self, fg_pair):
         for name in ("f", "g"):
             w = fg_pair[name]
-            path = tmp_path / f"{name}.json"
-            w.dump(path)
-            w2 = SmoothWarpFunction.load(path)
+            w2 = SmoothWarpFunction.from_json_dict(json.loads(json.dumps(w.to_json_dict())))
             r = np.linspace(0, 2.6, 4001)
             assert np.array_equal(w.d(r, 0), w2.d(r, 0))
             assert w2.knots == w.knots
