@@ -1,5 +1,5 @@
 """Shared numerical utilities: scalar C2 function handles, smooth cutoff
-functions, and adaptive Gauss-Legendre quadrature."""
+functions, and adaptive Gauss-Kronrod quadrature."""
 
 from __future__ import annotations
 
@@ -139,71 +139,78 @@ def smooth_bump(x, a, b):
     return out
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# the 21-point Gauss-Kronrod rule on [-1, 1] and its embedded 10-point
+# Gauss rule (QUADPACK's qk21): the nodes x >= 0, largest first, with their
+# Kronrod weights, and the Gauss weights of the nodes at odd positions
+_KRONROD_X = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+])
+_KRONROD_W = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+])
+_GAUSS_W = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+])
+GK_NODES = np.concatenate((_KRONROD_X, -_KRONROD_X[-2::-1]))
+GK_WEIGHTS = np.concatenate((_KRONROD_W, _KRONROD_W[-2::-1]))
+GAUSS_WEIGHTS = np.zeros(GK_NODES.size)
+GAUSS_WEIGHTS[1:10:2] = _GAUSS_W
+GAUSS_WEIGHTS[11:20:2] = _GAUSS_W[::-1]
 
 # adaptive_gauss's settings (see its docstring)
 QUAD_REL_TOL = 1e-10
 QUAD_ABS_FLOOR = 1e-14
-QUAD_ORDER = 10
 QUAD_MAX_DEPTH = 30
 
 
-def gl_nodes(order):
-    if order not in _GL_CACHE:
-        x, w = np.polynomial.legendre.leggauss(order)
-        _GL_CACHE[order] = (x, w)
-    return _GL_CACHE[order]
-
-
 def adaptive_gauss(fn, a, b):
-    """Adaptive Gauss-Legendre quadrature of a smooth integrand over panels
+    """Adaptive Gauss-Kronrod quadrature of a smooth integrand over panels
     [a_i, b_i], batched: one integral per panel.
 
     ``fn`` must be vectorized; it is called with one flat array of nodes per
-    round.  Each panel gets a scale, at least ``QUAD_ABS_FLOOR``, from the
-    2 * ``QUAD_ORDER``-point rule over the whole panel.  A panel's
-    ``QUAD_ORDER``-point estimate is compared with the sum over its two
-    halves; a panel passes when they agree to ``QUAD_REL_TOL`` relative to
-    max(scale, |halves|), or at ``QUAD_MAX_DEPTH`` bisections, and
-    contributes the halves' sum.  Only the failing panels are bisected, all
-    of them together in the next round.  Scalar ``a`` and ``b`` give a
-    float, arrays an array of their broadcast shape.
+    round.  Every piece, a panel or a half of a failing piece, gets the
+    21-point Kronrod and the embedded 10-point Gauss estimates from the same
+    21 integrand values; each panel's first Kronrod estimate, at least
+    ``QUAD_ABS_FLOOR``, is its scale.  A piece passes when its two estimates
+    agree to ``QUAD_REL_TOL`` relative to max(scale, |Kronrod|), or at
+    ``QUAD_MAX_DEPTH`` bisections, and contributes its Kronrod estimate,
+    which is far closer than the Gauss one that the test bounds.  Only the
+    failing pieces are bisected, all of them together in the next round.
+    Scalar ``a`` and ``b`` give a float, arrays an array of their broadcast
+    shape.
     """
-    x1, w1 = gl_nodes(QUAD_ORDER)
-    x2, w2 = gl_nodes(2 * QUAD_ORDER)
     a_arr, b_arr = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     shape = a_arr.shape
     lo, hi = a_arr.ravel(), b_arr.ravel()
     total = np.zeros(lo.size)
-    if lo.size == 0:
-        return total.reshape(shape)
-
-    def evaluate(lo, hi, nodes):
-        """fn at the nodes mapped into every panel, shape (panels, nodes),
-        and the panels' half-widths."""
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        vals = fn((mid[:, None] + half[:, None] * nodes).ravel())
-        return np.reshape(vals, (lo.size, nodes.size)), half
-
-    vals, half = evaluate(lo, hi, np.concatenate((x2, x1)))
-    scale = np.maximum(np.abs(half * (vals[:, :x2.size] @ w2)), QUAD_ABS_FLOOR)
-    coarse = half * (vals[:, x2.size:] @ w1)
     owner = np.arange(lo.size)
+    scale = None
     depth = 0
     while owner.size:
-        mid = 0.5 * (lo + hi)
-        vals, half = evaluate(np.concatenate((lo, mid)), np.concatenate((mid, hi)), x1)
-        halves = half * (vals @ w1)
-        left, right = halves[:owner.size], halves[owner.size:]
-        fine = left + right
-        done = np.abs(fine - coarse) <= QUAD_REL_TOL * np.maximum(scale[owner], np.abs(fine))
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        vals = np.reshape(fn((mid[:, None] + half[:, None] * GK_NODES).ravel()), (lo.size, GK_NODES.size))
+        kronrod, gauss = half * (vals @ GK_WEIGHTS), half * (vals @ GAUSS_WEIGHTS)
+        if scale is None:
+            scale = np.maximum(np.abs(kronrod), QUAD_ABS_FLOOR)
+        done = np.abs(kronrod - gauss) <= QUAD_REL_TOL * np.maximum(scale[owner], np.abs(kronrod))
         if depth >= QUAD_MAX_DEPTH:
             done[:] = True
-        np.add.at(total, owner[done], fine[done])
+        np.add.at(total, owner[done], kronrod[done])
         split = ~done
         lo = np.concatenate((lo[split], mid[split]))
         hi = np.concatenate((mid[split], hi[split]))
-        coarse = np.concatenate((left[split], right[split]))
         owner = np.concatenate((owner[split], owner[split]))
         depth += 1
     return float(total[0]) if shape == () else total.reshape(shape)

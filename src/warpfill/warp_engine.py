@@ -1,7 +1,7 @@
 """Doubly warped products [r_min, r_max] x_{g} E^k x_{f} T.
 
 Path lengths are exact: the speed of a polyline is integrated along its
-chart-straight segments by adaptive Gauss-Legendre quadrature, batched so that
+chart-straight segments by adaptive Gauss-Kronrod quadrature, batched so that
 all segments of a path are measured in one pass, with only the panels whose
 error test fails bisected, round by round.  Geodesics are found variationally,
 by minimizing the discrete energy of a polyline over its interior vertices

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from conftest import h2_chart
 from warpfill.errors import OutOfDomainError, SolverFailureError, ValidationError
 from warpfill.model_spaces import LatticeTorus, halfplane_distance, strip_to_halfplane, torus_distance
-from warpfill.numerics import Const, Cosh, ExpShift, LinearR, Sinh, adaptive_gauss
+from warpfill.numerics import GAUSS_WEIGHTS, GK_NODES, GK_WEIGHTS, Const, Cosh, ExpShift, LinearR, Sinh, adaptive_gauss
 from warpfill.warp_engine import (
     GRAD_TOL,
     GeodesicResult,
@@ -536,6 +536,31 @@ class TestBatchedQuadrature:
     def test_empty_batch_calls_nothing(self):
         out = adaptive_gauss(lambda x: pytest.fail("integrand called"), np.zeros(0), np.zeros(0))
         assert out.shape == (0,)
+
+    def test_kronrod_rule_and_its_gauss_rule(self):
+        x, w = np.polynomial.legendre.leggauss(10)
+        gauss = GAUSS_WEIGHTS != 0.0
+        order = np.argsort(GK_NODES[gauss])
+        assert np.allclose(GK_NODES[gauss][order], x, rtol=0.0, atol=1e-15)
+        assert np.allclose(GAUSS_WEIGHTS[gauss][order], w, rtol=0.0, atol=1e-15)
+        # the Kronrod rule is exact to degree 31, the Gauss rule to degree 19
+        for degree in (0, 7, 19, 31):
+            vals = (GK_NODES + 1.5) ** degree
+            exact = (2.5 ** (degree + 1) - 0.5 ** (degree + 1)) / (degree + 1)
+            assert vals @ GK_WEIGHTS == pytest.approx(exact, rel=1e-14)
+            if degree <= 19:
+                assert vals @ GAUSS_WEIGHTS == pytest.approx(exact, rel=1e-14)
+
+    def test_segments_leaving_the_core_match_reference(self, singular_model):
+        # the speed bends sharply near r = 0, where a Gauss estimate checked
+        # against its own halves once passed while 1.4e-11 off
+        rng = np.random.default_rng(7)
+        for _ in range(2_000):
+            a = WPoint(rng.uniform(0.0, 0.1), [rng.uniform(-1.5, 1.5)], [rng.uniform(0.0, 7.0)])
+            b = WPoint(rng.uniform(0.0, 3.0), [rng.uniform(-1.5, 1.5)], [rng.uniform(0.0, 7.0)])
+            path = PolylinePath((a, b), (np.array([rng.integers(-1, 2)]),))
+            assert path_length(singular_model, path) == pytest.approx(
+                reference_length(singular_model, path), rel=1e-12)
 
 
 class TestArrayPath:
