@@ -69,10 +69,6 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _is_real(x) -> bool:
-    return _is_number(x) and bool(np.isfinite(x))
-
-
 def _parse_point(raw: str, space) -> WPoint:
     """A point given as a list of 1+k+tdim numbers, or as an object with a
     number "r" and lists "e" (k numbers) and "theta" (tdim numbers), each
@@ -81,13 +77,13 @@ def _parse_point(raw: str, space) -> WPoint:
     k, t = space.euclid_dim, space.torus_dim
     if isinstance(doc, dict):
         e, theta = doc.get("e", []), doc.get("theta", [])
-        if not (doc.keys() <= {"r", "e", "theta"} and _is_real(doc.get("r"))
-                and isinstance(e, list) and len(e) == k and all(map(_is_real, e))
-                and isinstance(theta, list) and len(theta) == t and all(map(_is_real, theta))):
+        if not (doc.keys() <= {"r", "e", "theta"} and _is_number(doc.get("r"))
+                and isinstance(e, list) and len(e) == k and all(map(_is_number, e))
+                and isinstance(theta, list) and len(theta) == t and all(map(_is_number, theta))):
             raise ValidationError(f'a point object has a number "r", number lists "e" of length {k} '
                                   f'and "theta" of length {t}, and no other keys')
         return WPoint(doc["r"], e, theta)
-    if not (isinstance(doc, list) and all(map(_is_real, doc))):
+    if not (isinstance(doc, list) and all(map(_is_number, doc))):
         raise ValidationError("a point is a list of numbers or an object")
     if len(doc) != 1 + k + t:
         raise ValidationError(f"point needs 1+{k}+{t} coordinates, got {len(doc)}")

@@ -11,12 +11,14 @@ are measured against, so nothing in this module may depend on warp_engine.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateError, DomainError, OutOfRangeError, ValidationError
 from .lattice import closest_vector, shortest_vector
+from .numerics import _is_number
 
 __all__ = [
     "LatticeTorus",
@@ -211,8 +213,15 @@ class LatticeTorus:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "LatticeTorus":
-        t = cls(basis=np.asarray(d["basis"], dtype=float))
-        if "dim" in d and int(d["dim"]) != t.dim:
+        basis = d.get("basis") if isinstance(d, dict) else None
+        if not (isinstance(basis, list) and basis and d.keys() <= {"dim", "basis"}
+                and all(isinstance(row, list) and len(row) == len(basis) and all(map(_is_number, row))
+                        for row in basis)
+                and ("dim" not in d or isinstance(d["dim"], numbers.Integral) and not isinstance(d["dim"], bool))):
+            raise ValidationError('a torus is an object with a "basis", a square list of number lists, '
+                                  'and an optional integer "dim"')
+        t = cls(basis=np.asarray(basis, dtype=float))
+        if "dim" in d and d["dim"] != t.dim:
             raise ValidationError(f"dim field {d['dim']} != basis size {t.dim}")
         return t
 

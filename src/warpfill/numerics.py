@@ -3,14 +3,22 @@ functions, and adaptive Gauss-Kronrod quadrature."""
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
 
 
 def _is_number(x) -> bool:
-    """A real number from a JSON document: bools are not numbers."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+    """A real number from a JSON document that is a finite float: bools,
+    NaN, the infinities and integers beyond the float range are not
+    numbers."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 class ScalarC2:
@@ -186,7 +194,9 @@ def adaptive_gauss(fn, a, b):
     ``QUAD_ABS_FLOOR``, is its scale.  A piece passes when its two estimates
     agree to ``QUAD_REL_TOL`` relative to max(scale, |Kronrod|), or at
     ``QUAD_MAX_DEPTH`` bisections, and contributes its Kronrod estimate,
-    which is far closer than the Gauss one that the test bounds.  Only the
+    which is far closer than the Gauss one that the test bounds.  A piece
+    whose estimate is not finite is done too: halving it would not mend
+    it, so its NaN or infinity goes into its panel's total.  Only the
     failing pieces are bisected, all of them together in the next round.
     Scalar ``a`` and ``b`` give a float, arrays an array of their broadcast
     shape.
@@ -204,7 +214,7 @@ def adaptive_gauss(fn, a, b):
         kronrod, gauss = half * (vals @ GK_WEIGHTS), half * (vals @ GAUSS_WEIGHTS)
         if scale is None:
             scale = np.maximum(np.abs(kronrod), QUAD_ABS_FLOOR)
-        done = np.abs(kronrod - gauss) <= QUAD_REL_TOL * np.maximum(scale[owner], np.abs(kronrod))
+        done = ~np.isfinite(kronrod) | (np.abs(kronrod - gauss) <= QUAD_REL_TOL * np.maximum(scale[owner], np.abs(kronrod)))
         if depth >= QUAD_MAX_DEPTH:
             done[:] = True
         np.add.at(total, owner[done], kronrod[done])

@@ -5,11 +5,13 @@ chart-straight segments by adaptive Gauss-Kronrod quadrature, batched so that
 all segments of a path are measured in one pass, with only the panels whose
 error test fails bisected, round by round.  Geodesics are found variationally,
 by minimizing the discrete energy of a polyline over its interior vertices
-(damped Newton on the exact block-tridiagonal Hessian, in banded form).  The
-torus factor gives one candidate, in the deck class of the closest lattice
-vector.  A singular space adds the route through the collapsed core {f = 0}:
-theta jumps for free there, so the route is an ordinary path in the base
-doubled across r_min, unfolded back into the space.
+(damped Newton on the exact block-tridiagonal Hessian, in banded form, with
+one LAPACK ``dpbsv`` call per Levenberg rung tried).  The torus factor gives
+one candidate, in the deck class of the closest lattice vector.  A singular
+space adds the route through the collapsed core {f = 0}: theta jumps for free
+there, so the route is an ordinary path in the base doubled across r_min,
+unfolded back into the space.  That route is solved only when it can win:
+no path through the core is shorter than (r_p - r_min) + (r_q - r_min).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, solveh_banded
+from scipy.linalg.lapack import dpbsv
 
 from .errors import (
     NonpositiveWarpError,
@@ -466,14 +468,18 @@ class _Discretization:
 
     def hessian_banded(self, seg):
         """Exact Hessian of ``energy_grad``'s energy in the upper banded
-        storage of ``scipy.linalg.solveh_banded``: ``ab[u + i - j, j] = H[i, j]``
-        for ``i <= j``, with upper bandwidth ``u = 2 * stride - 1``.
+        storage of LAPACK's ``dpbsv``: ``ab[u + i - j, j] = H[i, j]`` for
+        ``i <= j``, with upper bandwidth ``u = 2 * stride - 1``.
 
         Segment s couples vertices s and s + 1 only, so H is a sum of
         per-segment (2 stride x 2 stride) blocks.  With c_s = dr^2 + G de2 +
         F dth2, G = g(m)^2, F = f(m)^2 and m the midpoint radius, each block
         is the difference part [[D, -D], [-D, D]], D = diag(2, 2G, 2F), plus
-        the midpoint-warp rank-two terms in the two r slots.
+        the midpoint-warp rank-two terms in the two r slots: w in all four
+        r-r cells and -/+cross between r and the other slots.  So the band
+        has few nonzero diagonals, and each is written straight from these
+        per-segment terms; the per-segment sums 2 + w come first, as in a
+        block-by-block assembly, so every cell is bit-identical to one.
         """
         k, st, n = self.k, self.stride, self.n
         g, g1, g2 = seg.g
@@ -484,53 +490,71 @@ class _Discretization:
         diag[:, 1:1 + k] = (2.0 * g * g)[:, None]
         diag[:, 1 + k:] = (2.0 * f * f)[:, None]
         # d^2 c_s / d r_x d y_b = -d^2 c_s / d r_x d y_a = (2gg' de, 2ff' dth)
-        cross = np.zeros((n, st))
-        cross[:, 1:1 + k] = (2.0 * g * g1)[:, None] * seg.de
-        cross[:, 1 + k:] = (2.0 * f * f1)[:, None] * seg.dth
-        v = np.concatenate((-cross, cross), axis=1)
+        # (stride - 1, n): slot j of segment s
+        cross = np.hstack(((2.0 * g * g1)[:, None] * seg.de, (2.0 * f * f1)[:, None] * seg.dth)).T
         # d^2 c_s / d r_x d r_y from the warps: G''/4 de2 + F''/4 dth2
         w = 0.5 * ((g1 * g1 + g * g2) * seg.de2 + (f1 * f1 + f * f2) * seg.dth2)
 
-        blk = np.zeros((n, 2 * st, 2 * st))
-        i = np.arange(st)
-        blk[:, i, i] = diag
-        blk[:, i + st, i + st] = diag
-        blk[:, i, i + st] = -diag
-        blk[:, i + st, i] = -diag
-        for x in (0, st):
-            blk[:, x, :] += v
-            blk[:, :, x] += v
-            for y in (0, st):
-                blk[:, x, y] += w
-
+        # ab[u - offset, vertex, slot]; segment s runs from vertex s to s + 1
         u = 2 * st - 1
-        ab = np.zeros((u + 1, (n + 1) * st))
-        for l1 in range(2 * st):
-            for l2 in range(l1, 2 * st):
-                ab[u + l1 - l2, l2:l2 + n * st:st] += blk[:, l1, l2]
+        j = np.arange(1, st)
+        ab = np.zeros((u + 1, n + 1, st))
+        same = diag.copy()  # D, plus w in the r slot
+        same[:, 0] += w
+        ab[u, :-1] += same  # each vertex sums its right segment, then its left
+        ab[u, 1:] += same
+        ab[u - j, :-1, j] -= cross  # r with slot j of the same vertex
+        ab[u - j, 1:, j] += cross
+        other = -diag  # -D, plus w in the r slot, at offset stride
+        other[:, 0] += w
+        ab[st - 1, 1:] += other
+        ab[st - 1 - j, 1:, j] += cross  # r with slot j of the next vertex
+        ab[st - 1 + j, 1:, 0] -= cross  # slot j with r of the next vertex
         # drop the two endpoints (the band's unused top-left cells are never read)
-        return ab[:, st:n * st]
+        return ab.reshape(u + 1, -1)[:, st:n * st]
 
 
-def _newton_step(ab, grad, free):
+def _newton_step(ab, grad, free, rung):
     """Solve H p = -grad over the free coordinates (identity rows elsewhere),
-    adding Levenberg damping until the banded Cholesky factorization holds."""
+    adding Levenberg damping until the banded Cholesky factorization holds.
+
+    Rung 0 is the undamped system; rung i >= 1 adds scale * 10**(i - 13) to
+    the free diagonal, scale being the largest diagonal magnitude.  Rung 0 is
+    tried first.  If it fails, the search starts at ``rung`` (the rung of the
+    chain's previous step, at least 1) and walks down while the
+    factorization holds and up while it fails, so it takes the lowest
+    damped rung that holds, as a climb from rung 1 would.  Each try is one
+    ``dpbsv`` call on ``ab`` (modified in place), its diagonal damped from a
+    saved copy.  Returns the step and the rung taken.
+    """
     u = ab.shape[0] - 1
     n = ab.shape[1]
     for d in range(u + 1):
         ab[u - d, d:] *= free[:n - d] & free[d:]
     ab[u, ~free] = 1.0
     rhs = np.where(free, -grad, 0.0)
-    scale = float(np.max(np.abs(ab[u])))
-    for mu in (0.0, *(scale * 10.0 ** np.arange(-12, 13))):
-        damped = ab
-        if mu:
-            damped = ab.copy()
-            damped[u, free] += mu
-        try:
-            return solveh_banded(damped, rhs, check_finite=False)
-        except LinAlgError:
-            continue
+    mus = float(np.max(np.abs(ab[u]))) * 10.0 ** np.arange(-12, 13)
+    diag = ab[u, free]
+
+    def solve(i):
+        if i:
+            ab[u, free] = diag + mus[i - 1]
+        _, x, info = dpbsv(ab, rhs)
+        return None if info else x
+
+    x = solve(0)
+    if x is not None:
+        return x, 0
+    i = max(rung, 1)
+    x = solve(i)
+    if x is not None:
+        while i > 1 and (lower := solve(i - 1)) is not None:
+            x, i = lower, i - 1
+        return x, i
+    for i in range(i + 1, len(mus) + 1):
+        x = solve(i)
+        if x is not None:
+            return x, i
     raise SolverFailureError("Newton system stays indefinite under damping")
 
 
@@ -541,22 +565,24 @@ def _optimize_chain(disc: _Discretization, maxiter=200, x0=None):
     a bound with the gradient pushing outward are held fixed.  The step is
     projected onto the box and backtracked until Armijo holds.  Each trial
     chain is evaluated once by ``disc.segments``, and the Hessian reads the
-    accepted one's record.  Returns the chain, the residual (max |gradient|
-    over the coordinates not held fixed), the iteration count, whether the
-    iteration cap stopped the solve above ``GRAD_TOL``, and the chain length.
+    accepted one's record.  Each step's damping search starts from the rung
+    the previous step took (``_newton_step``).  Returns the chain, the
+    residual (max |gradient| over the coordinates not held fixed), the
+    iteration count, whether the iteration cap stopped the solve above
+    ``GRAD_TOL``, and the chain length.
     """
     lo, hi = disc.bounds()
     x = np.clip(disc.initial() if x0 is None else x0, lo, hi)
     seg = disc.segments(x)
     energy, grad = disc.energy_grad(seg)
-    nit = 0
+    nit = rung = 0
     while True:
         pinned = ((x <= lo + 1e-12) & (grad > 0)) | ((x >= hi - 1e-12) & (grad < 0))
         gnorm = float(np.max(np.abs(grad[~pinned]), initial=0.0))
         if not (gnorm > GRAD_TOL and nit < maxiter):
             break
         nit += 1
-        step = _newton_step(disc.hessian_banded(seg), grad, ~pinned)
+        step, rung = _newton_step(disc.hessian_banded(seg), grad, ~pinned, rung)
         t = 1.0
         for _ in range(60):
             x_new = np.clip(x + t * step, lo, hi)
@@ -637,6 +663,28 @@ def _unfold(space: WarpedSpace, chain: np.ndarray, p: WPoint, q: WPoint) -> np.n
     return np.hstack((base, theta))
 
 
+def _solve_route(space: WarpedSpace, disc: _Discretization, p: WPoint, q: WPoint, refine_tol):
+    """Solve one candidate and refine it by segment doubling until its chain
+    length changes by less than ``refine_tol``.  Returns (exact length, path,
+    final residual, Newton steps, whether any level stopped at the iteration
+    cap above ``GRAD_TOL``)."""
+    x0, length = None, np.inf
+    iters, capped = 0, False
+    while True:
+        x, gnorm, nit, cut, new_length = _optimize_chain(disc, x0=x0)
+        iters += nit
+        capped |= cut
+        if abs(new_length - length) < refine_tol or 2 * disc.n > MAX_SEGMENTS:
+            break
+        x0, disc = _refine(x, disc)
+        length = new_length
+    chain = disc.full_chain(x)
+    if disc.space is not space:
+        chain = _unfold(space, chain, p, q)
+    path = _chain_to_path(space, chain, space.euclid_dim)
+    return path_length(space, path), path, gnorm, iters, capped
+
+
 def solve_geodesic(
     space: WarpedSpace,
     p: WPoint,
@@ -650,19 +698,24 @@ def solve_geodesic(
     Inner loop: damped projected Newton with the exact banded Hessian over
     interior vertex coordinates of a polyline in cover coordinates (r
     box-constrained to the interval), started from the straight chain and
-    stopped when the projected gradient falls below ``GRAD_TOL``.  Outer loop: one direct candidate, in the deck
-    class whose cover difference theta_q + v - theta_p is shortest (v the
-    lattice vector closest to theta_p - theta_q), plus, in singular spaces,
-    the route through the core: a path from (r_p, e_p) to the mirror point
-    (2 r_min - r_q, e_q) in the base doubled across r_min, unfolded with
-    theta_p before its crossing and theta_q after.  Each candidate is refined
-    by segment doubling until its chain length stabilizes below
-    ``refine_tol``, and the shorter exact length of the final paths wins.
+    stopped when the projected gradient falls below ``GRAD_TOL``.  Outer
+    loop: the direct candidate, in the deck class whose cover difference
+    theta_q + v - theta_p is shortest (v the lattice vector closest to
+    theta_p - theta_q), then, in singular spaces, the route through the
+    core: a path from (r_p, e_p) to the mirror point (2 r_min - r_q, e_q) in
+    the base doubled across r_min, unfolded with theta_p before its crossing
+    and theta_q after.  Each candidate is refined by segment doubling until
+    its chain length stabilizes below ``refine_tol``, and the shorter exact
+    length of the final paths wins; on a tie the direct one stays.  The core
+    route is skipped when (r_p - r_min) + (r_q - r_min), a lower bound on
+    the length of every path through the core, exceeds the direct
+    candidate's exact length: it could not have won.
 
-    ``iterations`` in the result counts Newton steps, summed over all
-    candidates and refinement levels.  ``converged`` is False when the final
-    residual is above tolerance, or when any candidate or refinement level
-    stopped at the Newton iteration cap with its residual above ``GRAD_TOL``.
+    ``iterations`` in the result counts Newton steps, summed over the
+    candidates that were solved and their refinement levels.  ``converged``
+    is False when the final residual is above tolerance, or when any solved
+    candidate or refinement level stopped at the Newton iteration cap with
+    its residual above ``GRAD_TOL``.
     """
     space.check_point(p)
     space.check_point(q)
@@ -681,36 +734,17 @@ def solve_geodesic(
         # |u_s|^2)(theta - theta_p) has norm <= 1 and fixes r and e, so it
         # maps any class-s path, core jumps included, to a no longer one.
         qc[1 + k:] += closest_vector(space.torus.basis, p.theta - q.theta)
-    candidates = [_Discretization(space, _cover_coords(p), qc, n_segments)]
-    if space.singular_at_zero and tdim:
-        candidates.append(_core_route(space, p, q, n_segments))
-
-    best = None  # (distance, path, gnorm)
-    total_iters = 0
-    capped = False  # some solve stopped at the iteration cap above GRAD_TOL
-    for disc in candidates:
-        x0, length = None, np.inf
-        while True:
-            x, gnorm, nit, cut, new_length = _optimize_chain(disc, x0=x0)
-            total_iters += nit
-            capped |= cut
-            # refine until the chain length stabilizes
-            if abs(new_length - length) < refine_tol or 2 * disc.n > MAX_SEGMENTS:
-                break
-            x0, disc = _refine(x, disc)
-            length = new_length
-        # no path is shorter than the distance, so the shorter refined
-        # candidate is never the worse answer; a coarse chain can rank them
-        # the wrong way round
-        chain = disc.full_chain(x)
-        if disc.space is not space:
-            chain = _unfold(space, chain, p, q)
-        path = _chain_to_path(space, chain, k)
-        dist = path_length(space, path)
-        if best is None or dist < best[0]:
-            best = (dist, path, gnorm)
-
-    dist, path, gnorm = best
+    routes = [_solve_route(space, _Discretization(space, _cover_coords(p), qc, n_segments), p, q, refine_tol)]
+    # every path through the core is at least (r_p - a) + (r_q - a) long, its
+    # speed being at least |dr|; a route that long cannot beat a shorter one
+    a = space.r_min
+    if space.singular_at_zero and tdim and (p.r - a) + (q.r - a) <= routes[0][0]:
+        routes.append(_solve_route(space, _core_route(space, p, q, n_segments), p, q, refine_tol))
+    # no path is shorter than the distance, so the shorter refined candidate
+    # is never the worse answer; a tie keeps the direct one
+    dist, path, gnorm, _, _ = min(routes, key=lambda route: route[0])
+    total_iters = sum(route[3] for route in routes)
+    capped = any(route[4] for route in routes)  # some solve stopped at the cap
     # Newton stops at GRAD_TOL, or earlier where the energy decrease falls to
     # its rounding level on fine chains.  A solve cut off by the iteration cap
     # leaves the candidate choice or the level-to-level stopping estimate
@@ -842,13 +876,15 @@ def space_to_json_dict(space: WarpedSpace) -> dict:
 
 
 def space_from_json_dict(doc: dict) -> WarpedSpace:
-    if not (isinstance(doc, dict) and isinstance(doc.get("interval"), (list, tuple))
+    if not (isinstance(doc, dict) and doc.keys() <= {"interval", "euclid_dim", "warp_g", "torus", "warp_f"}
+            and isinstance(doc.get("interval"), (list, tuple))
             and len(doc["interval"]) == 2 and all(map(_is_number, doc["interval"]))
             and isinstance(doc.get("euclid_dim"), numbers.Integral) and not isinstance(doc["euclid_dim"], bool)
             and isinstance(doc.get("warp_g"), dict)
             and all(isinstance(doc.get(key), (dict, type(None))) for key in ("torus", "warp_f"))):
         raise ValidationError('a space is an object with an "interval" of two numbers, an integer '
-                              '"euclid_dim", a "warp_g" object and optional "torus" and "warp_f" objects')
+                              '"euclid_dim", a "warp_g" object, optional "torus" and "warp_f" objects '
+                              'and no other keys')
     torus = LatticeTorus.from_json_dict(doc["torus"]) if doc.get("torus") else None
     warp_f = warp_from_json_dict(doc["warp_f"]) if doc.get("warp_f") else None
     return WarpedSpace(

@@ -283,6 +283,15 @@ FG_WARP_EDITS = {
     "ellipse_arc_extra_key": lambda w: _piece(w, "ellipse_arc").update(bogus=1.0),
 }
 
+# edits that make fg_space's torus or top level malformed
+FG_SPACE_EDITS = {
+    "basis_string": lambda d: d["torus"].update(basis=[["7"]]),
+    "dim_float": lambda d: d["torus"].update(dim=1.5),
+    "dim_string": lambda d: d["torus"].update(dim="1"),
+    "torus_extra_key": lambda d: d["torus"].update(bogus=1),
+    "top_level_extra_key": lambda d: d.update(bogus=1),
+}
+
 
 class TestMalformedDocuments:
     @pytest.mark.parametrize("flag, doc", [
@@ -315,6 +324,18 @@ class TestMalformedDocuments:
     def test_warp_function_is_input_error(self, tmp_path, capsys, fg_space, edit):
         doc = space_to_json_dict(fg_space)
         edit(doc["warp_g"])
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        argv = ["geodesic", "--space", str(path), "--from", "[1, 0, 0]", "--to", "[1.2, 0.3, 2]", "--samples", "8"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("edit", FG_SPACE_EDITS.values(), ids=FG_SPACE_EDITS.keys())
+    def test_torus_or_top_level_is_input_error(self, tmp_path, capsys, fg_space, edit):
+        doc = space_to_json_dict(fg_space)
+        edit(doc)
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
         argv = ["geodesic", "--space", str(path), "--from", "[1, 0, 0]", "--to", "[1.2, 0.3, 2]", "--samples", "8"]

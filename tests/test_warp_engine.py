@@ -6,9 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.linalg import LinAlgError, solveh_banded
 
 from conftest import h2_chart
 from warpfill.errors import OutOfDomainError, SolverFailureError, ValidationError
+from warpfill.lattice import closest_vector
 from warpfill.model_spaces import LatticeTorus, halfplane_distance, strip_to_halfplane, torus_distance
 from warpfill.numerics import GAUSS_WEIGHTS, GK_NODES, GK_WEIGHTS, Const, Cosh, ExpShift, LinearR, Sinh, adaptive_gauss
 from warpfill.warp_engine import (
@@ -20,7 +22,9 @@ from warpfill.warp_engine import (
     _cover_coords,
     _Discretization,
     _core_route,
+    _newton_step,
     _optimize_chain,
+    _solve_route,
     alexandrov_angle,
     direction_at_singular,
     distance_to_core,
@@ -286,6 +290,152 @@ class TestNewtonSolver:
         assert not res.converged
 
 
+def block_hessian_banded(disc, seg):
+    """The banded Hessian assembled segment by segment: each segment's
+    (2 stride x 2 stride) block, [[D, -D], [-D, D]] plus the r-slot terms,
+    added cell by cell into the band."""
+    k, st, n = disc.k, disc.stride, disc.n
+    g, g1, g2 = seg.g
+    f, f1, f2 = seg.f
+    diag = np.empty((n, st))
+    diag[:, 0] = 2.0
+    diag[:, 1:1 + k] = (2.0 * g * g)[:, None]
+    diag[:, 1 + k:] = (2.0 * f * f)[:, None]
+    cross = np.zeros((n, st))
+    cross[:, 1:1 + k] = (2.0 * g * g1)[:, None] * seg.de
+    cross[:, 1 + k:] = (2.0 * f * f1)[:, None] * seg.dth
+    v = np.concatenate((-cross, cross), axis=1)
+    w = 0.5 * ((g1 * g1 + g * g2) * seg.de2 + (f1 * f1 + f * f2) * seg.dth2)
+    blk = np.zeros((n, 2 * st, 2 * st))
+    i = np.arange(st)
+    blk[:, i, i] = diag
+    blk[:, i + st, i + st] = diag
+    blk[:, i, i + st] = -diag
+    blk[:, i + st, i] = -diag
+    for x in (0, st):
+        blk[:, x, :] += v
+        blk[:, :, x] += v
+        for y in (0, st):
+            blk[:, x, y] += w
+    u = 2 * st - 1
+    ab = np.zeros((u + 1, (n + 1) * st))
+    for l1 in range(2 * st):
+        for l2 in range(l1, 2 * st):
+            ab[u + l1 - l2, l2:l2 + n * st:st] += blk[:, l1, l2]
+    return ab[:, st:n * st]
+
+
+def ladder_step(ab, grad, free):
+    """(step, rung) from the full Levenberg ladder climbed from mu = 0: the
+    first of 0, scale * 10**-12, ..., scale * 10**12 whose banded Cholesky
+    factorization holds."""
+    ab = ab.copy()
+    u, n = ab.shape[0] - 1, ab.shape[1]
+    for d in range(u + 1):
+        ab[u - d, d:] *= free[:n - d] & free[d:]
+    ab[u, ~free] = 1.0
+    rhs = np.where(free, -grad, 0.0)
+    scale = float(np.max(np.abs(ab[u])))
+    for rung, mu in enumerate((0.0, *(scale * 10.0 ** np.arange(-12, 13)))):
+        damped = ab.copy()
+        damped[u, free] += mu
+        try:
+            return solveh_banded(damped, rhs, check_finite=False), rung
+        except LinAlgError:
+            continue
+    raise AssertionError("no rung factors")
+
+
+def direct_band(space, p, q, n=16):
+    """Banded Hessian and gradient of the straight direct chain from p to q."""
+    disc = _Discretization(space, _cover_coords(p), _cover_coords(q), n)
+    seg = disc.segments(disc.initial())
+    return disc.hessian_banded(seg), disc.energy_grad(seg)[1]
+
+
+class TestNewtonSystem:
+    @pytest.mark.parametrize("space_name, stride", [("h2_space", 2), ("cone", 2), ("fg_space", 3),
+                                                    ("core_route", 2)])
+    def test_band_matches_block_assembly_on_read_cells(self, request, space_name, stride, singular_model):
+        rng = np.random.default_rng(23)
+        for n in (8, 16, 33):
+            if space_name == "core_route":
+                disc = _core_route(singular_model, WPoint(0.4, [0.2], [0.3]), WPoint(0.6, [-0.4], [3.5]), n)
+            else:
+                space = request.getfixturevalue(space_name)
+                k, tdim = space.euclid_dim, space.torus_dim
+                p = WPoint.make(0.3, rng.uniform(-1, 1, k), rng.uniform(0, 3, tdim), k, tdim)
+                q = WPoint.make(1.9, rng.uniform(-1, 1, k), rng.uniform(2, 5, tdim), k, tdim)
+                disc = _Discretization(space, _cover_coords(p), _cover_coords(q), n)
+            assert disc.stride == stride
+            lo, hi = disc.bounds()
+            x = np.clip(disc.initial() + 0.1 * rng.standard_normal((n - 1) * stride), lo + 0.05, hi)
+            seg = disc.segments(x)
+            got, want = disc.hessian_banded(seg), block_hessian_banded(disc, seg)
+            assert got.shape == want.shape
+            u = got.shape[0] - 1
+            rows, cols = np.indices(got.shape)
+            read = rows + cols >= u  # ab[u + i - j, j] with i >= 0
+            assert np.array_equal(got[read].view(np.int64), want[read].view(np.int64))
+
+    @pytest.mark.parametrize("p, q", [
+        # core_geodesics-like direct candidates, delta theta >= 1.6: the
+        # undamped system fails and the ladder climbs to rung 10 or 11
+        ((1.63, 0.2, 0.5), (1.635, -0.4, 2.56)),
+        ((0.926, -0.7, 3.0), (1.951, 0.1, 5.19)),
+        ((1.444, 0.3, 6.0), (0.102, 0.9, 7.99)),
+        ((0.128, 0.0, 1.0), (1.873, -0.5, 3.74)),
+    ])
+    @pytest.mark.parametrize("pinned", [False, True])
+    def test_rung_search_matches_full_ladder(self, singular_model, p, q, pinned):
+        p, q = (WPoint(r, [e], [th]) for r, e, th in (p, q))
+        ab, grad = direct_band(singular_model, p, q)
+        free = np.ones(grad.size, dtype=bool)
+        free[[0, -3]] = not pinned  # hold the first and last interior r fixed
+        want, answer = ladder_step(ab, grad, free)
+        assert answer >= 2  # damped, with a rung below the answer to walk to
+        for start in (0, 1, answer - 1, answer, answer + 1, answer + 5, 25):
+            got, rung = _newton_step(ab.copy(), grad, free, start)
+            assert rung == answer
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_undamped_system_takes_rung_zero(self, h2_space):
+        ab, grad = direct_band(h2_space, WPoint(0.1, [0.2]), WPoint(-0.5, [1.3]))
+        free = np.ones(grad.size, dtype=bool)
+        want, answer = ladder_step(ab, grad, free)
+        assert answer == 0
+        got, rung = _newton_step(ab.copy(), grad, free, 7)
+        assert rung == 0 and np.array_equal(got, want)
+
+    def test_skipped_core_route_could_not_have_won(self, singular_model, monkeypatch):
+        core_calls = []
+        monkeypatch.setattr("warpfill.warp_engine._core_route",
+                            lambda *args: core_calls.append(args) or _core_route(*args))
+        rng = np.random.default_rng(31)
+        skipped = 0
+        for _ in range(12):
+            r = rng.uniform(0.1, 2.0, 2)
+            theta = rng.uniform(0.0, 7.0)
+            p = WPoint(r[0], [rng.uniform(-1, 1)], [theta])
+            q = WPoint(r[1], [rng.uniform(-1, 1)], [theta + rng.choice((-1, 1)) * rng.uniform(0, 2.8)])
+            core_calls.clear()
+            res = solve_geodesic(singular_model, p, q, n_segments=16, refine_tol=1e-5)
+            bound = p.r + q.r - 2 * singular_model.r_min
+            if bound <= res.distance:
+                assert core_calls  # the core route may win, so it is solved
+                continue
+            skipped += 1
+            assert not core_calls
+            qc = _cover_coords(q)
+            qc[2:] += closest_vector(singular_model.torus.basis, p.theta - q.theta)
+            direct = _Discretization(singular_model, _cover_coords(p), qc, 16)
+            dist, _, _, iters, _ = _solve_route(singular_model, direct, p, q, 1e-5)
+            assert dist == res.distance and iters == res.iterations  # only the direct route counts
+            core, _, _, _, _ = _solve_route(singular_model, _core_route(singular_model, p, q, 16), p, q, 1e-5)
+            assert core >= bound > res.distance
+        assert skipped >= 3
+
+
 class TestSingularModel:
     def test_distance_to_core(self, singular_model):
         p = WPoint(0.7, [0.3], [1.0])
@@ -396,6 +546,20 @@ class TestArclengthAndSerialization:
         space2 = space_from_json_dict(doc)
         r = np.linspace(0, 2.6, 101)
         assert np.allclose(space2.f(r), fg_space.f(r), atol=1e-15)
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["warp_g"]["params"].update(shift=float("nan")),
+        lambda d: d["warp_g"]["params"].update(shift=float("inf")),
+        lambda d: d["warp_g"]["params"].update(shift=-float("inf")),
+        lambda d: d["warp_g"]["params"].update(shift=10 ** 400),
+        lambda d: d.update(interval=[-6.0, float("inf")]),
+        lambda d: d.update(torus={"basis": [[float("nan")]]}, warp_f={"analytic": "sinh", "params": {}}),
+    ], ids=["nan", "inf", "minus_inf", "huge_int", "interval_inf", "torus_nan"])
+    def test_non_finite_numbers_are_refused(self, h2_space, edit):
+        doc = json.loads(json.dumps(space_to_json_dict(h2_space)))
+        edit(doc)
+        with pytest.raises(ValidationError):
+            space_from_json_dict(doc)
 
     def test_geodesic_result_json(self, h2_space):
         res = solve_geodesic(h2_space, WPoint(0.0, [0.0]), WPoint(0.0, [0.5]), n_segments=16)
@@ -532,6 +696,21 @@ class TestBatchedQuadrature:
         assert len(calls) > 2 and calls[-1] < calls[1]
         scalar = adaptive_gauss(peak, 0.25, 0.35)
         assert isinstance(scalar, float) and scalar == pytest.approx(exact[1], rel=1e-10)
+
+    def test_non_finite_piece_is_not_bisected(self):
+        calls = []
+
+        def fn(x):
+            calls.append(x.size)
+            if len(calls) > 3 or x.size > 10_000:
+                raise AssertionError(f"integrand called {len(calls)} times, {x.size} nodes")
+            return np.where(x < 1.0, np.nan, np.where(x < 2.0, np.inf, x * x))
+
+        with np.errstate(invalid="ignore"):  # inf times the Gauss rule's zero weights
+            got = adaptive_gauss(fn, np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0]))
+        assert np.isnan(got[0]) and got[1] == np.inf
+        assert got[2] == pytest.approx(19.0 / 3.0, rel=1e-14)
+        assert len(calls) == 1
 
     def test_empty_batch_calls_nothing(self):
         out = adaptive_gauss(lambda x: pytest.fail("integrand called"), np.zeros(0), np.zeros(0))
